@@ -19,7 +19,6 @@ from .core import (
     BilinearForm,
     BlockOperator,
     DEFAULT_TOL,
-    PolynomialClass,
     Tolerance,
     close,
     dual_map,
@@ -29,7 +28,6 @@ from .core import (
     signature,
 )
 from .errors import (
-    DegenerateFormError,
     DimensionError,
     IncompatiblePairError,
     NotPolynomialError,

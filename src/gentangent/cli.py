@@ -44,7 +44,6 @@ from .core import (
     BlockOperator,
     Tolerance,
     close,
-    signature,
 )
 from .errors import GentangentError
 from .canonical import g0
@@ -91,7 +90,18 @@ def _matrix(doc, key, n, context):
     if m.ndim != 2 or m.shape != (n, n) or m.size == 0:
         raise InputError(
             f"{context}: matrix {key!r} must be {n}x{n}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError(f"{context}: matrix {key!r} has a NaN or infinite entry")
     return m
+
+
+def _read_n(doc):
+    n = doc.get("n")
+    # bool is an int subclass, but true is not a dimension
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(
+            f"top level: n must be a positive integer, got {json.dumps(n)}")
+    return n
 
 
 def _read_operator(doc, n, context="operator"):
@@ -163,9 +173,7 @@ def _resolve_operator(doc, n, tol):
 def _classify(doc, tol):
     if not isinstance(doc, dict):
         raise InputError("top level: expected a JSON object")
-    if "n" not in doc or not isinstance(doc["n"], int) or doc["n"] < 1:
-        raise InputError("top level: n must be a positive integer")
-    n = doc["n"]
+    n = _read_n(doc)
     op = _resolve_operator(doc, n, tol)
     out = {"n": n, "operator": _operator_doc(op)}
     if "operator2" in doc:
@@ -316,9 +324,7 @@ def cmd_build(args) -> int:
         doc = _load_json(args.input)
         if not isinstance(doc, dict) or "base" not in doc:
             raise InputError("build input needs a base block")
-        n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise InputError("top level: n must be a positive integer")
+        n = _read_n(doc)
         base = _read_base(doc["base"], n, tol)
     else:
         base = _default_base(args.family, args.dim, args.seed)
@@ -367,6 +373,16 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gentangent",
@@ -386,8 +402,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a registered proposition check")
     p.add_argument("id", help="proposition id, or 'all'")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--dim", type=_positive_int, default=3)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=42)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -396,13 +412,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("--input", default=None,
                    help="JSON with base data ('-' for stdin); default: seeded random base")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=42)
     common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("fixtures", help="dump seeded generator fixtures")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="fixtures")
     common(p)

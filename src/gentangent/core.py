@@ -20,7 +20,7 @@ flat(1)(1) = 2 = g(1, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,7 +11,7 @@ Worked n=2 example for the tau condition: (tau X)(Y) = X.T @ tau.T @ Y, so
 (tau X)(Y) = (tau Y)(X) for all X, Y exactly when tau = tau.T as a matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .core import (
     is_degenerate,
     musicals,
 )
-from .errors import DegenerateFormError, DimensionError, NotComplexError, NotInjectiveError
+from .errors import DegenerateFormError, NotComplexError, NotInjectiveError
 
 NOT_INJECTIVE = "NotInjective"
 K_BLOCK_NOT_H_DUAL = "KBlockNotHDual"

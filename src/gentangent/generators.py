@@ -6,6 +6,10 @@ bit-for-bit reproducible across runs and across language ports.  The
 contract: state advances by 0x9E3779B97F4A7C15 per draw and each output is
 the standard splitmix64 finalizer of the new state; uniforms map the top 53
 bits into [0, 1).
+
+Draws are vectorized: a block of outputs is computed at once on numpy
+``uint64`` arrays, whose multiplications wrap modulo 2**64 exactly like the
+scalar definition, so the stream is the same as drawing one value at a time.
 """
 
 import numpy as np
@@ -30,6 +34,10 @@ AE_KINDS = (
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+_UNIT = 1.0 / (1 << 53)
 
 MAX_CONDITION = 1.0e3
 
@@ -40,16 +48,28 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
+    def _draw(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array.
+
+        Every product is taken on arrays, where numpy wraps uint64 overflow
+        silently (uint64 scalars would warn).
+        """
+        z = np.arange(1, count + 1, dtype=np.uint64) * _U64_GOLDEN
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GOLDEN) & _MASK
+        z ^= z >> 30
+        z *= _U64_MIX1
+        z ^= z >> 27
+        z *= _U64_MIX2
+        z ^= z >> 31
+        return z
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return int(self._draw(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1), from the top 53 bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self.next_u64() >> 11) * _UNIT
 
     def symmetric_uniform(self) -> float:
         """Uniform double in [-1, 1)."""
@@ -57,9 +77,8 @@ class SplitMix64:
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major matrix of symmetric uniforms."""
-        return np.array(
-            [[self.symmetric_uniform() for _ in range(cols)] for _ in range(rows)]
-        )
+        u = (self._draw(rows * cols) >> 11).astype(np.float64) * _UNIT
+        return (2.0 * u - 1.0).reshape(rows, cols)
 
 
 def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDITION) -> np.ndarray:

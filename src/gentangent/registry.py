@@ -15,8 +15,6 @@ import numpy as np
 
 from . import ae_zoo, triples
 from .ae_zoo import (
-    AeManifoldData,
-    HERMITIAN,
     INCOMPATIBLE,
     NORDEN,
     PARA_HERMITIAN,
@@ -295,7 +293,7 @@ def _check_f0_commutation(n, trials, seed, tol):
         for op, want in ((commuting, triples.COMMUTES),
                          (anti, triples.ANTI_COMMUTES),
                          (generic, triples.NEITHER_COMMUTATION)):
-            got = f0_commutation_result = triples.f0_commutation(op, tol)
+            got = triples.f0_commutation(op, tol)
             m = op.assemble()
             res = (np.linalg.norm(fm @ m - m @ fm) if want == triples.COMMUTES
                    else np.linalg.norm(fm @ m + m @ fm)

@@ -14,7 +14,6 @@ from .ae_zoo import (
 from .canonical import f0, g0
 from .core import (
     SKEW,
-    SYMMETRIC,
     BaseForm,
     BilinearForm,
     BlockOperator,

@@ -216,3 +216,47 @@ def test_tol_flag_must_be_positive(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch,
                            ["verify", "P3.signature", "--tol", "-1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["verify", "all", "--trials", "0"], "--trials"),
+    (["verify", "all", "--trials", "-5"], "--trials"),
+    (["verify", "all", "--dim", "0"], "--dim"),
+    (["build", "Jg", "--dim", "0"], "--dim"),
+    (["fixtures", "--dim", "-1"], "--dim"),
+])
+def test_nonpositive_counts_exit_2(capsys, monkeypatch, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, monkeypatch, args)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def _lone_operator_text(h, n="1"):
+    return ('{"n": %s, "operator": {"H": [[%s]], "sigma": [[0]], '
+            '"tau": [[0]], "K": [[1]]}}' % (n, h))
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_classify_non_finite_entry_exits_2(capsys, monkeypatch, value):
+    code, out, err = run_cli(capsys, monkeypatch, ["classify"],
+                             _lone_operator_text(value))
+    assert code == 2
+    assert out == ""
+    assert "'H'" in err and "infinite" in err
+
+
+def test_classify_bool_n_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, monkeypatch, ["classify"],
+                           _lone_operator_text("1", n="true"))
+    assert code == 2
+    assert "n must be a positive integer" in err
+
+
+def test_build_bool_n_exits_2(capsys, monkeypatch):
+    doc = {"n": True, "base": {"g": [[1.0]]}}
+    code, _, err = run_cli(capsys, monkeypatch,
+                           ["build", "Jg", "--input", "-"], json.dumps(doc))
+    assert code == 2
+    assert "n must be a positive integer" in err
+
