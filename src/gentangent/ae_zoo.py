@@ -227,22 +227,22 @@ def build_mixed(data: AeManifoldData, tol: Tolerance = DEFAULT_TOL) -> BlockOper
 # ---------------------------------------------------------------------------
 # Closed-form fundamental tensors, assembled independently from base data.
 
-FAMILY_IDS = (
-    "Jg",
-    "Fg",
-    "Jom",
-    "Fom",
-    "JlamJ+",
-    "JlamJ-",
-    "FlamF+",
-    "FlamF-",
-    "JJgFlat",
-    "JJgSharp",
-    "FFgFlat",
-    "FFgSharp",
-    "FJg",
-    "JFg",
-)
+# Default base data of each family: a lone metric or symplectic form for the
+# musical families, otherwise the kind of (alpha, eps) pair to draw, whose
+# alpha is the one the family needs.
+FAMILY_BASE_KIND = {
+    "Jg": "metric", "Fg": "metric", "Jom": "symplectic", "Fom": "symplectic",
+    "JlamJ+": HERMITIAN, "JlamJ-": HERMITIAN,
+    "FlamF+": PARA_HERMITIAN, "FlamF-": PARA_HERMITIAN,
+    "JJgFlat": HERMITIAN, "JJgSharp": HERMITIAN,
+    "FFgFlat": PARA_HERMITIAN, "FFgSharp": PARA_HERMITIAN,
+    "FJg": HERMITIAN, "JFg": PARA_HERMITIAN,
+}
+
+FAMILY_IDS = tuple(FAMILY_BASE_KIND)
+
+# alpha of the (J, g) data a J-dependent family needs, by its base kind
+_BASE_KIND_ALPHA = {HERMITIAN: -1, PARA_HERMITIAN: +1}
 
 
 def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
@@ -251,28 +251,24 @@ def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperat
     data is a BaseForm for the musical families Jg/Fg/Jom/Fom and an
     AeManifoldData for the J-dependent families.
     """
-    if family in ("Jg", "Fg", "Jom", "Fom"):
+    kind = FAMILY_BASE_KIND.get(family)
+    if kind in ("metric", "symplectic"):
         b = data.g if isinstance(data, AeManifoldData) else data
         return build_musical(b, -1 if family[0] == "J" else +1, tol)
     if not isinstance(data, AeManifoldData):
         raise UnknownFamilyError(f"family {family!r} needs (J, g) base data")
-    if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-"):
-        lam = +1 if family.endswith("+") else -1
-        want_alpha = -1 if family[0] == "J" else +1
-        if data.alpha != want_alpha:
-            raise UnknownFamilyError(f"family {family!r} needs alpha = {want_alpha}")
-        return build_diagonal(data.J, lam, tol)
-    if family in ("JJgFlat", "JJgSharp", "FFgFlat", "FFgSharp"):
-        want_alpha = -1 if family[0] == "J" else +1
-        if data.alpha != want_alpha:
-            raise UnknownFamilyError(f"family {family!r} needs alpha = {want_alpha}")
-        return build_triangular(data, FLAT if family.endswith("Flat") else SHARP, tol)
-    if family in ("FJg", "JFg"):
-        want_alpha = -1 if family == "FJg" else +1
-        if data.alpha != want_alpha:
-            raise UnknownFamilyError(f"family {family!r} needs alpha = {want_alpha}")
-        return build_mixed(data, tol)
-    raise UnknownFamilyError(f"unknown family {family!r}")
+    if kind is None:
+        raise UnknownFamilyError(f"unknown family {family!r}")
+    want_alpha = _BASE_KIND_ALPHA[kind]
+    if data.alpha != want_alpha:
+        raise UnknownFamilyError(f"family {family!r} needs alpha = {want_alpha}")
+    if "lam" in family:
+        return build_diagonal(data.J, +1 if family.endswith("+") else -1, tol)
+    if family.endswith(FLAT):
+        return build_triangular(data, FLAT, tol)
+    if family.endswith(SHARP):
+        return build_triangular(data, SHARP, tol)
+    return build_mixed(data, tol)
 
 
 def _g0_conjugated(j: np.ndarray) -> np.ndarray:
@@ -280,13 +276,6 @@ def _g0_conjugated(j: np.ndarray) -> np.ndarray:
     n = j.shape[0]
     zero = np.zeros((n, n))
     return np.block([[zero, 0.5 * j.T], [0.5 * j, zero]])
-
-
-def _omega0_conjugated(j: np.ndarray) -> np.ndarray:
-    """Gram of (u, v) -> Omega0(J X + xi, J Y + eta)."""
-    n = j.shape[0]
-    zero = np.zeros((n, n))
-    return np.block([[zero, -0.5 * j.T], [0.5 * j, zero]])
 
 
 def _diag(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -305,14 +294,11 @@ def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np
         j = None
     gm = g.gram
     if with_metric == "G0":
-        if family in ("Jg", "Fg"):
+        if family in ("Jg", "Fg", "Jom", "Fom"):
             _, sharp = musicals(g, tol)
-            s = -1.0 if family == "Jg" else +1.0
-            # (g(X, Y) +/- g(sharp xi, sharp eta)) / 2
-            return _diag(0.5 * gm, 0.5 * s * sharp.T @ gm @ sharp)
-        if family in ("Jom", "Fom"):
-            _, sharp = musicals(g, tol)
-            s = +1.0 if family == "Jom" else -1.0
+            # (g(X, Y) + s g(sharp xi, sharp eta)) / 2; the sign of the dual
+            # term flips between a metric and a symplectic g
+            s = -1.0 if family in ("Jg", "Fom") else +1.0
             return _diag(0.5 * gm, 0.5 * s * sharp.T @ gm @ sharp)
         if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-"):
             lam = +1.0 if family.endswith("+") else -1.0
@@ -324,14 +310,11 @@ def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np
         if family in ("JJgSharp", "FFgSharp"):
             _, sharp = musicals(g, tol)
             return _g0_conjugated(j) + _diag(np.zeros((n, n)), 0.5 * sharp.T @ gm @ sharp)
-        if family == "FJg":
+        if family in ("FJg", "JFg"):
             _, sharp = musicals(g, tol)
             half = sqrt(2.0) / 2.0
-            return _g0_conjugated(j) + _diag(half * gm, half * sharp.T @ gm @ sharp)
-        if family == "JFg":
-            _, sharp = musicals(g, tol)
-            half = sqrt(2.0) / 2.0
-            return _g0_conjugated(j) + _diag(half * gm, -half * sharp.T @ gm @ sharp)
+            s = half if family == "FJg" else -half
+            return _g0_conjugated(j) + _diag(half * gm, s * sharp.T @ gm @ sharp)
     elif with_metric == "Gg":
         if family == "Jg":
             return -2.0 * omega0(n).gram

@@ -42,6 +42,4 @@ def omega0(n: int) -> BilinearForm:
 def f0(n: int) -> BlockOperator:
     """Natural generalized paracomplex structure diag(-I, I)."""
     n = _check_n(n)
-    ident = np.eye(n)
-    zero = np.zeros((n, n))
-    return BlockOperator(-ident, zero, zero, ident)
+    return BlockOperator.from_matrix(np.diag(np.repeat([-1.0, 1.0], n)))

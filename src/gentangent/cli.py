@@ -28,6 +28,7 @@ import numpy as np
 
 from . import registry
 from .ae_zoo import (
+    FAMILY_BASE_KIND,
     FAMILY_IDS,
     INCOMPATIBLE,
     AeManifoldData,
@@ -43,7 +44,6 @@ from .core import (
     BilinearForm,
     BlockOperator,
     Tolerance,
-    close,
 )
 from .errors import GentangentError
 from .canonical import g0
@@ -87,9 +87,16 @@ def _matrix(doc, key, n, context):
         m = np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"{context}: matrix {key!r} is not numeric")
+    except OverflowError:
+        raise InputError(f"{context}: matrix {key!r} has an entry too large for a double")
     if m.ndim != 2 or m.shape != (n, n) or m.size == 0:
         raise InputError(
             f"{context}: matrix {key!r} must be {n}x{n}, got shape {m.shape}")
+    # numpy would also read "1e0" and true as numbers; JSON entries must be
+    # ints or floats (bool is an int subclass)
+    if any(isinstance(x, bool) or not isinstance(x, (int, float))
+           for row in doc[key] for x in row):
+        raise InputError(f"{context}: matrix {key!r} has an entry that is not a number")
     if not np.isfinite(m).all():
         raise InputError(f"{context}: matrix {key!r} has a NaN or infinite entry")
     return m
@@ -138,17 +145,14 @@ def _read_base(doc, n, tol):
     if "J" not in doc:
         return g
     j = _matrix(doc, "J", n, "base")
-    ident = np.eye(n)
-    alpha = epsilon = None
-    for a in (+1, -1):
-        if close(j @ j, a * ident, tol):
-            alpha = a
-    for e in (+1, -1):
-        if close(j.T @ g.gram @ j, e * g.gram, tol):
-            epsilon = e
-    if alpha is None or epsilon is None:
-        raise InputError("base: (J, g) is not an (alpha, epsilon) pair")
-    return AeManifoldData(j, g, alpha, epsilon)
+    # -1 goes first: where both signs fit (a huge tolerance or a zero g),
+    # the pair is read with alpha = -1 and epsilon = -1
+    for alpha in (-1, +1):
+        for epsilon in (-1, +1):
+            data = AeManifoldData(j, g, alpha, epsilon)
+            if data.validate(tol):
+                return data
+    raise InputError("base: (J, g) is not an (alpha, epsilon) pair")
 
 
 def _operator_doc(op: BlockOperator) -> dict:
@@ -286,18 +290,8 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_FAMILY_BASE_KIND = {
-    "Jg": "metric", "Fg": "metric", "Jom": "symplectic", "Fom": "symplectic",
-    "JlamJ+": "Hermitian", "JlamJ-": "Hermitian",
-    "FlamF+": "ParaHermitian", "FlamF-": "ParaHermitian",
-    "JJgFlat": "Hermitian", "JJgSharp": "Hermitian",
-    "FFgFlat": "ParaHermitian", "FFgSharp": "ParaHermitian",
-    "FJg": "Hermitian", "JFg": "ParaHermitian",
-}
-
-
 def _default_base(family, n, seed):
-    kind = _FAMILY_BASE_KIND[family]
+    kind = FAMILY_BASE_KIND[family]
     if kind == "metric":
         return random_metric(n, n, 0, seed)
     even = n if n % 2 == 0 else n + 1

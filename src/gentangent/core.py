@@ -13,6 +13,8 @@ Conventions used throughout the package:
   ``flat(X)(Y) = b(X, Y)`` holds.  ``sharp`` is its inverse.
 * The dual of a base endomorphism A (acting on dual coordinates) is ``A.T``,
   which realises ``(A* xi)(X) = xi(A X)``.
+* An endomorphism of V + V* is a ``BlockOperator``: one read-only 2n x 2n
+  matrix [[H, sigma], [tau, K]], whose four blocks are views into it.
 
 Worked n=1 example: g = [2] gives flat = [2], sharp = [0.5], and
 flat(1)(1) = 2 = g(1, 1).
@@ -20,6 +22,7 @@ flat(1)(1) = 2 = g(1, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +63,21 @@ def _as_matrix(a, n=None) -> np.ndarray:
 
 
 def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Frobenius-norm closeness: ||a - b|| <= abs + rel * max(||a||, ||b||)."""
+    """Frobenius-norm closeness: ||a - b|| <= abs + rel * max(||a||, ||b||).
+
+    Both sides are first multiplied by the power of two s that brings the
+    largest entry into [0.5, 1).  That is exact, so the answer is unchanged,
+    but on finite input the norms can no longer overflow, nor underflow to
+    zero.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    peak = max(abs(a).max(initial=0.0), abs(b).max(initial=0.0))
+    # the exponent is clamped so that s itself stays a finite double
+    s = 2.0 ** -max(math.frexp(peak)[1], -1023)
+    a, b = s * a, s * b
     scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    return np.linalg.norm(a - b) <= tol.abs + tol.rel * scale
+    return np.linalg.norm(a - b) <= tol.abs * s + tol.rel * scale
 
 
 @dataclass(frozen=True)
@@ -100,70 +113,86 @@ class GeneralizedVector:
         return self.coords[self.n :]
 
 
-@dataclass(frozen=True)
+def _block_view(row: int, col: int) -> property:
+    """Read-only view of block (row, col) of a BlockOperator's matrix."""
+
+    def view(op) -> np.ndarray:
+        n = op.n
+        return op.matrix[row * n : (row + 1) * n, col * n : (col + 1) * n]
+
+    return property(view)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class BlockOperator:
     """An endomorphism of V + V* in block form [[H, sigma], [tau, K]].
 
     H maps V to V, sigma maps dual coordinates to V, tau maps V to dual
-    coordinates and K acts on dual coordinates.
+    coordinates and K acts on dual coordinates.  The operator is stored once,
+    as the read-only 2n x 2n ``matrix``; H, sigma, tau and K are read-only
+    views of its four n x n blocks, and composition, linear combination and
+    application are dense matrix operations on it.
     """
 
-    H: np.ndarray
-    sigma: np.ndarray
-    tau: np.ndarray
-    K: np.ndarray
+    matrix: np.ndarray
 
-    def __post_init__(self):
-        h = _as_matrix(self.H)
+    def __init__(self, H, sigma, tau, K):
+        h = _as_matrix(H)
         n = h.shape[0]
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "sigma", _as_matrix(self.sigma, n))
-        object.__setattr__(self, "tau", _as_matrix(self.tau, n))
-        object.__setattr__(self, "K", _as_matrix(self.K, n))
+        m = np.empty((2 * n, 2 * n))
+        m[:n, :n] = h
+        m[:n, n:] = _as_matrix(sigma, n)
+        m[n:, :n] = _as_matrix(tau, n)
+        m[n:, n:] = _as_matrix(K, n)
+        self._freeze(m)
 
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
+    def _freeze(self, m: np.ndarray) -> None:
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _of(cls, m: np.ndarray) -> "BlockOperator":
+        """Wrap a freshly computed 2n x 2n matrix that nothing else holds."""
+        op = cls.__new__(cls)
+        op._freeze(m)
+        return op
 
     @classmethod
     def from_matrix(cls, m) -> "BlockOperator":
-        m = _as_matrix(m)
+        m = _as_matrix(np.array(m, dtype=float))
         if m.shape[0] % 2 != 0:
             raise DimensionError("assembled operator must be 2n x 2n")
-        n = m.shape[0] // 2
-        return cls(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
+        return cls._of(m)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0] // 2
+
+    H = _block_view(0, 0)
+    sigma = _block_view(0, 1)
+    tau = _block_view(1, 0)
+    K = _block_view(1, 1)
 
     def assemble(self) -> np.ndarray:
-        """The dense 2n x 2n matrix [[H, sigma], [tau, K]]."""
-        return np.block([[self.H, self.sigma], [self.tau, self.K]])
+        """The dense 2n x 2n matrix [[H, sigma], [tau, K]] (the stored one)."""
+        return self.matrix
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
-        """self after other, via the block multiplication rules.
-
-        Kept separate from assemble()-then-multiply so the two code paths
-        can cross-check each other.
-        """
+        """self after other."""
         if other.n != self.n:
             raise DimensionError("operator dimensions differ")
-        return BlockOperator(
-            self.H @ other.H + self.sigma @ other.tau,
-            self.H @ other.sigma + self.sigma @ other.K,
-            self.tau @ other.H + self.K @ other.tau,
-            self.tau @ other.sigma + self.K @ other.K,
-        )
+        return BlockOperator._of(self.matrix @ other.matrix)
 
     def scale(self, c: float) -> "BlockOperator":
-        return BlockOperator(c * self.H, c * self.sigma, c * self.tau, c * self.K)
+        return BlockOperator._of(c * self.matrix)
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         if other.n != self.n:
             raise DimensionError("operator dimensions differ")
-        return BlockOperator(
-            self.H + other.H, self.sigma + other.sigma, self.tau + other.tau, self.K + other.K
-        )
+        return BlockOperator._of(self.matrix + other.matrix)
 
     def neg(self) -> "BlockOperator":
-        return self.scale(-1.0)
+        return BlockOperator._of(-self.matrix)
 
 
 @dataclass(frozen=True)
@@ -220,8 +249,7 @@ def apply(op: BlockOperator, v: GeneralizedVector) -> GeneralizedVector:
     """Apply a block operator: (H X + sigma xi) + (tau X + K xi)."""
     if op.n != v.n:
         raise DimensionError("operator and vector dimensions differ")
-    x, xi = v.vector_part, v.covector_part
-    return GeneralizedVector.from_parts(op.H @ x + op.sigma @ xi, op.tau @ x + op.K @ xi)
+    return GeneralizedVector(op.matrix @ v.coords)
 
 
 def dual_map(a) -> np.ndarray:

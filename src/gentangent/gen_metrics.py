@@ -51,40 +51,32 @@ class MetricInducerReport:
         return not self.violations
 
 
-def _induced_gram(op: BlockOperator) -> np.ndarray:
-    return op.assemble().T @ g0(op.n).gram
+def _form_from_endomorphism(op, sign, kind, tau_violation, sigma_violation, tol):
+    """Form u, v -> G0(op u, v), valid of the given kind when K = sign H*,
+    tau = sign tau.T, sigma = sign sigma.T and op is injective."""
+    conditions = (
+        (op.K, dual_map(op.H), K_BLOCK_NOT_H_DUAL),
+        (op.tau, op.tau.T, tau_violation),
+        (op.sigma, op.sigma.T, sigma_violation),
+    )
+    violations = [name for block, other, name in conditions
+                  if not close(block, sign * other, tol)]
+    if is_degenerate(op.matrix, tol):
+        violations.append(NOT_INJECTIVE)
+    report = MetricInducerReport(tuple(violations))
+    gram = op.matrix.T @ g0(op.n).gram
+    return BilinearForm(gram, kind if report.valid else GENERAL), report
 
 
 def metric_from_endomorphism(op: BlockOperator, tol: Tolerance = DEFAULT_TOL):
     """Form u, v -> G0(op u, v) plus a validity report for the metric case."""
-    violations = []
-    if not close(op.K, dual_map(op.H), tol):
-        violations.append(K_BLOCK_NOT_H_DUAL)
-    if not close(op.tau, op.tau.T, tol):
-        violations.append(TAU_NOT_SYMMETRIC)
-    if not close(op.sigma, op.sigma.T, tol):
-        violations.append(SIGMA_NOT_SYMMETRIC)
-    if is_degenerate(op.assemble(), tol):
-        violations.append(NOT_INJECTIVE)
-    report = MetricInducerReport(tuple(violations))
-    kind = SYMMETRIC if report.valid else GENERAL
-    return BilinearForm(_induced_gram(op), kind), report
+    return _form_from_endomorphism(
+        op, +1, SYMMETRIC, TAU_NOT_SYMMETRIC, SIGMA_NOT_SYMMETRIC, tol)
 
 
 def symplectic_from_endomorphism(op: BlockOperator, tol: Tolerance = DEFAULT_TOL):
     """Form u, v -> G0(op u, v) plus a validity report for the symplectic case."""
-    violations = []
-    if not close(op.K, -dual_map(op.H), tol):
-        violations.append(K_BLOCK_NOT_H_DUAL)
-    if not close(op.tau, -op.tau.T, tol):
-        violations.append(TAU_NOT_SKEW)
-    if not close(op.sigma, -op.sigma.T, tol):
-        violations.append(SIGMA_NOT_SKEW)
-    if is_degenerate(op.assemble(), tol):
-        violations.append(NOT_INJECTIVE)
-    report = MetricInducerReport(tuple(violations))
-    kind = SKEW if report.valid else GENERAL
-    return BilinearForm(_induced_gram(op), kind), report
+    return _form_from_endomorphism(op, -1, SKEW, TAU_NOT_SKEW, SIGMA_NOT_SKEW, tol)
 
 
 def endomorphism_from_metric(form: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:

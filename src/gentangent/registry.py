@@ -15,6 +15,8 @@ import numpy as np
 
 from . import ae_zoo, triples
 from .ae_zoo import (
+    FAMILY_BASE_KIND,
+    HERMITIAN,
     INCOMPATIBLE,
     NORDEN,
     PARA_HERMITIAN,
@@ -241,18 +243,10 @@ def _check_mixed_iff(n, trials, seed, tol):
     return cases, failures, float(failures > 0)
 
 
-# Base data that satisfies each closed twin formula: a symmetric or skew
-# form for the musical families, an (alpha, eps) pair otherwise.
-_TWIN_DATA_KIND = {
-    "Jg": "metric", "Fg": "metric", "Jom": "symplectic", "Fom": "symplectic",
-    "JlamJ+": "Hermitian", "JlamJ-": "Hermitian",
-    "FlamF+": "ParaHermitian", "FlamF-": "ParaHermitian",
-    "JJgFlat": "Hermitian", "JJgSharp": "Hermitian",
-    "FFgFlat": "ParaHermitian", "FFgSharp": "ParaHermitian",
-    "Jphi": "Hermitian", "Fphi": "ParaHermitian",
-}
-_TWIN_DATA_KIND_GG = dict(_TWIN_DATA_KIND, FJg="Norden", JFg="ParaHermitian")
-_TWIN_DATA_KIND_G0 = dict(_TWIN_DATA_KIND, FJg="Hermitian", JFg="ParaHermitian")
+# Base data that satisfies each closed twin formula: the family's default
+# base data, except that FJg needs Norden data against Gg.
+_TWIN_DATA_KIND_G0 = dict(FAMILY_BASE_KIND, Jphi=HERMITIAN, Fphi=PARA_HERMITIAN)
+_TWIN_DATA_KIND_GG = dict(_TWIN_DATA_KIND_G0, FJg=NORDEN)
 
 
 def _twin_data(family, n, seed, tol):

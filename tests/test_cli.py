@@ -260,3 +260,33 @@ def test_build_bool_n_exits_2(capsys, monkeypatch):
     assert code == 2
     assert "n must be a positive integer" in err
 
+
+
+@pytest.mark.parametrize("entry", ['"1e0"', "true", "false", "null"])
+def test_classify_non_number_entry_exits_2(capsys, monkeypatch, entry):
+    code, out, err = run_cli(capsys, monkeypatch, ["classify"],
+                             _lone_operator_text(entry))
+    assert code == 2
+    assert out == ""
+    assert "'H'" in err and "not a number" in err
+
+
+def test_classify_int_beyond_double_range_exits_2(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch, ["classify"],
+                             _lone_operator_text("1" + "0" * 400))
+    assert code == 2
+    assert out == ""
+    assert "'H'" in err and "too large" in err
+
+
+def test_classify_huge_entries_do_not_overflow(capsys, monkeypatch):
+    text = ('{"n": 1, "operator": {"H": [[1e308]], "sigma": [[1e308]], '
+            '"tau": [[1e308]], "K": [[1]]}}')
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["classify", "--format", "json"], text)
+    assert code == 0
+    assert err == ""
+    inducer = json.loads(out)["inducer"]
+    assert inducer["metric_violations"] == ["KBlockNotHDual"]
+    assert inducer["symplectic_violations"] == [
+        "KBlockNotHDual", "TauNotSkew", "SigmaNotSkew"]

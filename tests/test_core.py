@@ -4,6 +4,8 @@ import pytest
 import gentangent as gt
 from gentangent.core import NEITHER, is_degenerate
 
+from block_rules import apply_by_blocks, combine_by_blocks, compose_by_blocks
+
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
@@ -18,6 +20,28 @@ def test_close_is_scale_aware():
     a = np.eye(3) * 1e8
     assert gt.close(a, a + 1e-3, gt.Tolerance(1e-9, 1e-9))
     assert not gt.close(np.eye(3), np.eye(3) + 1e-3, gt.Tolerance(1e-9, 1e-9))
+    # the internal power-of-two rescaling is exact, so the boundary sits
+    # where ||a - b|| <= abs + rel * max(||a||, ||b||) puts it
+    tol = gt.Tolerance(1e-9, 1e-9)
+    for a in (np.eye(2), 1e6 * np.eye(2), 1e-6 * np.eye(2)):
+        bound = tol.abs + tol.rel * np.linalg.norm(a)
+        assert gt.close(a, a + np.diag([0.5 * bound, 0.0]), tol)
+        assert not gt.close(a, a + np.diag([2.0 * bound, 0.0]), tol)
+
+
+def test_close_does_not_overflow_or_underflow():
+    # the norms of these finite entries overflow (or underflow) unless the
+    # arrays are rescaled first; warnings are errors in this suite
+    huge = np.array([[1e308, 1e308], [-1e308, 1.0]])
+    assert gt.close(huge, huge.copy())
+    assert not gt.close(huge, -huge)
+    assert not gt.close([[1e308]], [[1.0]])
+    assert gt.close([[1e308]], [[1e308 * (1 + 1e-12)]])
+    rel_only = gt.Tolerance(0.0, 1e-9)
+    assert not gt.close([[1e-200]], [[2e-200]], rel_only)
+    assert gt.close([[1e-200]], [[1e-200 * (1 + 1e-12)]], rel_only)
+    assert gt.close([[5e-324]], [[0.0]])
+    assert gt.close(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_generalized_vector_parts():
@@ -41,22 +65,68 @@ def test_block_operator_assemble_roundtrip():
     assert np.array_equal(op.K, m[3:, 3:])
 
 
+def test_block_operator_stores_one_matrix():
+    rng = gt.SplitMix64(7)
+    h, s, t, k = (rng.matrix(3, 3) for _ in range(4))
+    op = gt.BlockOperator(h, s, t, k)
+    assert op.assemble() is op.matrix
+    assert op.matrix.shape == (6, 6)
+    for block, part in ((op.H, h), (op.sigma, s), (op.tau, t), (op.K, k)):
+        assert np.shares_memory(block, op.matrix)
+        assert np.array_equal(block, part)
+    # the constructor copies: changing an input block changes nothing
+    before = h.copy()
+    h[0, 0] += 1.0
+    assert np.array_equal(op.H, before)
+
+
+def test_block_operator_is_read_only():
+    op = gt.BlockOperator.from_matrix(gt.SplitMix64(8).matrix(4, 4))
+    for name in ("H", "sigma", "tau", "K"):
+        with pytest.raises(ValueError):
+            getattr(op, name)[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(op, name, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        op.assemble()[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        op.matrix = np.zeros((4, 4))
+
+
+def test_from_matrix_copies_its_input():
+    m = gt.SplitMix64(9).matrix(4, 4)
+    op = gt.BlockOperator.from_matrix(m)
+    before = m.copy()
+    m[:] = 0.0
+    assert np.array_equal(op.assemble(), before)
+    assert m.flags.writeable
+
+
 def test_block_operator_compose_matches_dense():
     rng = gt.SplitMix64(17)
     for _ in range(20):
         a = gt.BlockOperator.from_matrix(rng.matrix(8, 8))
         b = gt.BlockOperator.from_matrix(rng.matrix(8, 8))
-        dense = a.assemble() @ b.assemble()
-        assert np.linalg.norm(a.compose(b).assemble() - dense) <= 1e-12
+        product = a.compose(b).assemble()
+        assert np.linalg.norm(product - compose_by_blocks(a, b)) <= 1e-12
+
+
+def test_block_operator_compose_rejects_other_dimension():
+    a = gt.BlockOperator.from_matrix(np.eye(4))
+    b = gt.BlockOperator.from_matrix(np.eye(6))
+    with pytest.raises(gt.DimensionError):
+        a.compose(b)
+    with pytest.raises(gt.DimensionError):
+        a.add(b)
 
 
 def test_block_operator_arithmetic():
     rng = gt.SplitMix64(3)
     a = gt.BlockOperator.from_matrix(rng.matrix(4, 4))
     b = gt.BlockOperator.from_matrix(rng.matrix(4, 4))
-    assert np.allclose(a.scale(2.5).assemble(), 2.5 * a.assemble())
-    assert np.allclose(a.add(b).assemble(), a.assemble() + b.assemble())
-    assert np.allclose(a.neg().assemble(), -a.assemble())
+    assert np.allclose(a.scale(2.5).assemble(), combine_by_blocks(a, 2.5, b, 0.0))
+    assert np.allclose(a.add(b).assemble(), combine_by_blocks(a, 1.0, b, 1.0))
+    assert np.allclose(a.neg().assemble(), combine_by_blocks(a, -1.0, b, 0.0))
 
 
 def test_apply_matches_dense():
@@ -64,7 +134,7 @@ def test_apply_matches_dense():
     op = gt.BlockOperator.from_matrix(rng.matrix(4, 4))
     v = gt.GeneralizedVector(np.array([1.0, -2.0, 0.5, 3.0]))
     out = gt.apply(op, v)
-    assert np.allclose(out.coords, op.assemble() @ v.coords)
+    assert np.allclose(out.coords, apply_by_blocks(op, v.coords))
 
 
 def test_base_form_evaluation():
