@@ -99,13 +99,18 @@ def base_fundamental(data: AeManifoldData) -> BaseForm:
 
 
 def isometry_sign(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFAULT_TOL):
-    """epsilon with M.T Gram M = epsilon Gram, or None if neither sign fits."""
+    """epsilon with M.T Gram M = epsilon Gram, or None if it is not determined.
+
+    None means that neither sign fits, or that both do: then Gram itself is
+    within the tolerance of zero and the sign cannot be told apart.
+    """
     m = op.assemble()
     pulled = m.T @ metric.gram @ m
-    for eps in (+1, -1):
-        if close(pulled, eps * metric.gram, tol):
-            return eps
-    return None
+    plus = close(pulled, metric.gram, tol)
+    minus = close(pulled, -metric.gram, tol)
+    if plus == minus:
+        return None
+    return +1 if plus else -1
 
 
 def classify_pair(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> StructureClass:

@@ -10,7 +10,18 @@ bits into [0, 1).
 Draws are vectorized: a block of outputs is computed at once on numpy
 ``uint64`` arrays, whose multiplications wrap modulo 2**64 exactly like the
 scalar definition, so the stream is the same as drawing one value at a time.
+
+Accepted draws are memoized.  ``random_invertible`` is a pure function of
+(n, stream state, condition clamp): it returns the first n x n draw from
+that state whose condition number is below the clamp, and leaves the stream
+just after it.  The checks redraw from the same seeds many times, so the
+rejection loop runs once per key in a bounded ``lru_cache`` (128 keys, the
+least recently used dropped first) and later calls only set the stream
+state.  The returned matrix is therefore shared and read-only; copy it
+before writing.  ``_model_pair`` is cached the same way.
 """
+
+import functools
 
 import numpy as np
 
@@ -81,18 +92,29 @@ class SplitMix64:
         return (2.0 * u - 1.0).reshape(rows, cols)
 
 
+@functools.lru_cache(maxsize=128)
+def _accepted_draw(n: int, state: int, max_condition: float):
+    """First draw from ``state`` with condition below the clamp, read-only,
+    and the stream state after it."""
+    rng = SplitMix64(state)
+    while True:
+        p = rng.matrix(n, n)
+        sv = np.linalg.svd(p, compute_uv=False)
+        if sv[-1] > 0 and sv[0] / sv[-1] < max_condition:
+            p.flags.writeable = False
+            return p, rng._state
+
+
 def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDITION) -> np.ndarray:
     """Random matrix with condition number below the clamp.
 
     Draws are rejected (consuming the stream deterministically) until the
     condition bound holds; a uniform entry matrix passes almost always at
-    the sizes used here.
+    the sizes used here.  The result is read-only and may be shared with
+    other callers that drew from the same state (see the module docstring).
     """
-    while True:
-        p = rng.matrix(n, n)
-        sv = np.linalg.svd(p, compute_uv=False)
-        if sv[-1] > 0 and sv[0] / sv[-1] < max_condition:
-            return p
+    p, rng._state = _accepted_draw(n, rng._state, max_condition)
+    return p
 
 
 def random_metric(n: int, r: int, s: int, seed: int) -> BaseForm:
@@ -118,14 +140,22 @@ def random_symplectic(n: int, seed: int) -> BaseForm:
     return BaseForm(p.T @ omega @ p, SKEW)
 
 
+def _frozen(j, g, alpha, eps):
+    """The model pair with its matrices marked read-only, for the cache."""
+    j.flags.writeable = False
+    g.flags.writeable = False
+    return j, g, alpha, eps
+
+
+@functools.lru_cache(maxsize=128)
 def _model_pair(kind: str, n: int):
-    """Exactly compatible (J, g, alpha, eps) on the standard fiber."""
+    """Exactly compatible (J, g, alpha, eps) on the standard fiber, read-only."""
     m = n // 2
     if kind == HERMITIAN_KIND:
         if n % 2 != 0:
             raise DimensionError("Hermitian data needs even dimension")
         j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
-        return j, np.eye(n), -1, +1
+        return _frozen(j, np.eye(n), -1, +1)
     if kind == INDEFINITE_HERMITIAN_KIND:
         if n % 4 != 0:
             # the invariant metric splits J-stable planes, forcing even r and s
@@ -133,25 +163,25 @@ def _model_pair(kind: str, n: int):
         j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
         a = np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(m)])
         g = np.block([[a, np.zeros((m, m))], [np.zeros((m, m)), a]])
-        return j, g, -1, +1
+        return _frozen(j, g, -1, +1)
     if kind == NORDEN_KIND:
         if n % 2 != 0:
             raise DimensionError("Norden data needs even dimension")
         j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
         g = np.block([[np.eye(m), np.zeros((m, m))], [np.zeros((m, m)), -np.eye(m)]])
-        return j, g, -1, -1
+        return _frozen(j, g, -1, -1)
     if kind == PARA_HERMITIAN_KIND:
         if n % 2 != 0:
             raise DimensionError("para-Hermitian data needs even dimension")
         f = np.block([[np.eye(m), np.zeros((m, m))], [np.zeros((m, m)), -np.eye(m)]])
         g = np.block([[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]])
-        return f, g, +1, -1
+        return _frozen(f, g, +1, -1)
     if kind == PRODUCT_RIEMANNIAN_KIND:
         if n < 2:
             raise DimensionError("product data needs dimension at least 2")
         q = n // 2
         f = np.diag(np.concatenate([np.ones(n - q), -np.ones(q)]))
-        return f, np.eye(n), +1, +1
+        return _frozen(f, np.eye(n), +1, +1)
     raise ValueError(f"unknown kind {kind!r}; known: {AE_KINDS}")
 
 

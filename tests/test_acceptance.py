@@ -17,6 +17,10 @@ def _report(num, description, ok):
     assert ok, f"criterion {num} failed: {description}"
 
 
+def _failures(prop_id, n, trials, seed):
+    return registry.run_check(prop_id, n, trials, seed, TOL).failures
+
+
 def test_criterion_01_canonical_relations():
     ok = True
     for n in range(1, 7):
@@ -29,8 +33,8 @@ def test_criterion_01_canonical_relations():
 
 
 def test_criterion_02_metric_characterization():
-    _, m_fail, _ = registry._check_metric_char(3, 200, 42, TOL)
-    _, s_fail, _ = registry._check_symplectic_char(3, 200, 43, TOL)
+    m_fail = _failures("P3.metric-char", 3, 200, 42)
+    s_fail = _failures("P3.symplectic-char", 3, 200, 43)
     _report(2, "inducing endomorphism characterization and inversion",
             m_fail == 0 and s_fail == 0)
 
@@ -49,9 +53,9 @@ def test_criterion_03_signature_proposition():
 
 
 def test_criterion_04_compatibility_table():
-    _, t_fail, _ = registry._check_triangular_iff(2, 100, 42, TOL)
-    _, m_fail, _ = registry._check_mixed_iff(2, 100, 42, TOL)
-    _, n_fail, _ = registry._check_jg_g0_norden(3, 100, 42, TOL)
+    t_fail = _failures("P4.triangular-iff", 2, 100, 42)
+    m_fail = _failures("P4.mixed-iff", 2, 100, 42)
+    n_fail = _failures("P4.Jg-G0-norden", 3, 100, 42)
     _report(4, "structure table with both directions of every iff",
             t_fail == 0 and m_fail == 0 and n_fail == 0)
 
@@ -59,27 +63,22 @@ def test_criterion_04_compatibility_table():
 def test_criterion_05_twin_metric_closed_forms():
     fails = 0
     for n in (2, 3, 4):
-        _, f, _ = registry._check_twin_metrics(n, 100, 42 + n, TOL)
-        fails += f
+        fails += _failures("P4.twin-metrics", n, 100, 42 + n)
     _report(5, "all closed twin-metric and fundamental-form formulas", fails == 0)
 
 
 def test_criterion_06_flat_sharp_identities():
-    _, fails, _ = registry._check_flat_sharp(4, 100, 42, TOL)
+    fails = _failures("P2.flat-sharp", 4, 100, 42)
     _report(6, "flat/sharp matrix identities for all generator kinds", fails == 0)
 
 
 def test_criterion_07_triple_tables():
     fails = 0
     for n in (2, 4):
-        _, f, _ = registry._check_canonical_triples(n, 25, 42 + n, TOL)
-        fails += f
-    _, f, _ = registry._check_triple_mjg(2, 100, 42, TOL)
-    fails += f
-    _, f, _ = registry._check_triple_mfg(2, 100, 42, TOL)
-    fails += f
-    _, f, _ = registry._check_combine_law(2, 100, 42, TOL)
-    fails += f
+        fails += _failures("P5.canonical-triples", n, 25, 42 + n)
+    fails += _failures("P5.triple-MJG", 2, 100, 42)
+    fails += _failures("P5.triple-MFG", 2, 100, 42)
+    fails += _failures("P5.combine-law", 2, 100, 42)
     _report(7, "eight named triples, mixed decompositions, combine law",
             fails == 0)
 

@@ -56,6 +56,18 @@ def test_isometry_sign():
     assert isometry_sign(gt.BlockOperator.from_matrix(rng.matrix(4, 4)), gt.g0(2)) is None
 
 
+def test_isometry_sign_undetermined_when_both_signs_fit():
+    # F0 is anti-isometric for any multiple of G0, but at 1e-10 G0 both
+    # pulled-back Grams pass the absolute 1e-9 floor: no sign may be returned
+    tiny = gt.BilinearForm(1e-10 * gt.g0(2).gram, gt.SYMMETRIC)
+    assert isometry_sign(gt.f0(2), tiny) is None
+    assert gt.classify_pair(gt.f0(2), tiny).name == INCOMPATIBLE
+    data = gt.random_ae_pair("Hermitian", 2, seed=3)
+    first, second, _ = gt.canonical_triple("hyperC", data)
+    with pytest.raises(gt.IncompatiblePairError):
+        gt.triple_epsilon_product(first, second, tiny)
+
+
 def test_ae_manifold_data_validate():
     data = gt.random_ae_pair("Norden", 4, seed=5)
     assert data.validate()

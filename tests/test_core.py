@@ -232,3 +232,28 @@ def test_polynomial_class_neither():
     rng = gt.SplitMix64(2)
     op = gt.BlockOperator.from_matrix(rng.matrix(4, 4))
     assert gt.polynomial_class(op).kind == "neither"
+
+
+def _eigvals_split(m):
+    """Oracle: eigenvalues of m counted by the nearer of +1 and -1."""
+    eig = np.linalg.eigvals(m)
+    plus = int(np.sum(np.abs(eig - 1.0) < np.abs(eig + 1.0)))
+    return plus, eig.size - plus
+
+
+def test_polynomial_class_counts_eigenspaces_like_eigvals():
+    rng = gt.SplitMix64(31)
+    for size in range(2, 65, 2):
+        q1, _ = np.linalg.qr(rng.matrix(size, size))
+        q2, _ = np.linalg.qr(rng.matrix(size, size))
+        for plus in range(1, size):
+            # P = Q1 diag(s) Q2 with condition number 1e3 ** (plus / size)
+            p = q1 @ np.diag(np.geomspace(1.0, 1e3 ** (plus / size), size)) @ q2
+            d = np.repeat([1.0, -1.0], [plus, size - plus])
+            # a strictly upper triangular, so non-normal, perturbation moves
+            # the eigenvalues off +/-1 while op^2 still passes as I
+            e = np.triu(rng.matrix(size, size), 1)
+            m = (p * d) @ np.linalg.inv(p) + 1e-11 * e / np.linalg.norm(e)
+            pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m))
+            assert pc.kind == "product", (size, plus)
+            assert (pc.plus_dim, pc.minus_dim) == _eigvals_split(m) == (plus, size - plus)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gentangent as gt
+from gentangent import canonical, generators, registry
 
 MASK = (1 << 64) - 1
 
@@ -153,17 +154,72 @@ def test_vectorized_stream_matches_reference(seed):
     assert rng.next_u64() == ref.next_u64()
 
 
+def _reference_invertible(ref, n, max_condition):
+    """The rejection loop, drawing from the reference stream."""
+    while True:
+        want = ref.matrix(n, n)
+        sv = np.linalg.svd(want, compute_uv=False)
+        if sv[-1] > 0 and sv[0] / sv[-1] < max_condition:
+            return want
+
+
 def test_random_invertible_matches_reference_rejection_loop():
+    generators._accepted_draw.cache_clear()
     for seed in (1, 2, 3):
-        rng, ref = gt.SplitMix64(seed), ReferenceSplitMix64(seed)
-        got = gt.random_invertible(32, rng, 50.0)
-        while True:
-            want = ref.matrix(32, 32)
-            sv = np.linalg.svd(want, compute_uv=False)
-            if sv[-1] > 0 and sv[0] / sv[-1] < 50.0:
-                break
-        assert np.array_equal(got, want)
-        assert rng.next_u64() == ref.next_u64()
+        want = _reference_invertible(ReferenceSplitMix64(seed), 32, 50.0)
+        # the first call runs the rejection loop, the second reads the memo
+        for _ in ("cold", "warm"):
+            rng, ref = gt.SplitMix64(seed), ReferenceSplitMix64(seed)
+            got = gt.random_invertible(32, rng, 50.0)
+            _reference_invertible(ref, 32, 50.0)
+            assert np.array_equal(got, want)
+            assert rng.next_u64() == ref.next_u64()
+    assert generators._accepted_draw.cache_info().hits == 3
+
+
+@pytest.mark.parametrize("seed, digest, next_u64", [
+    (1, "865d780079286e2fa7415225f53b61818403476e277f7ef9c9748b5020a04697",
+     5132284922125350034),
+    (2, "6c36334ed23487991eacf5ace731cfa48359d0ce66265e05836543671bf5259f",
+     9409583874706761749),
+    (3, "8bdad61690d1defe6cf2822df2708c2a502d8d974aff1260e0fcba1287459568",
+     12547173074329843105),
+])
+def test_random_invertible_pinned_digest(seed, digest, next_u64):
+    # every accepted and rejected candidate of these seeds has a condition
+    # number at least 10% away from the clamp, so the pins do not depend on
+    # the platform's SVD; the repeated call reads the memo
+    for _ in range(2):
+        rng = gt.SplitMix64(seed)
+        p = gt.random_invertible(32, rng, 50.0)
+        assert hashlib.sha256(p.tobytes()).hexdigest() == digest
+        assert rng.next_u64() == next_u64
+
+
+def test_memoized_fixtures_are_read_only():
+    p = gt.random_invertible(4, gt.SplitMix64(8))
+    with pytest.raises(ValueError):
+        p[0, 0] = 0.0
+    for kind in generators.AE_KINDS:
+        j, g, _, _ = generators._model_pair(kind, 4)
+        for m in (j, g):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+
+
+def _verify_rows(seed):
+    return [(r.id, r.trials, r.failures, r.max_residual, r.passed)
+            for r in registry.run_all(32, 3, seed=seed)]
+
+
+def test_run_all_is_unchanged_by_the_memo():
+    for cache in (generators._accepted_draw, generators._model_pair,
+                  canonical._g0, canonical._omega0, canonical._f0):
+        cache.cache_clear()
+    cold = _verify_rows(1)
+    assert _verify_rows(1) == cold
+    _verify_rows(2)
+    assert _verify_rows(1) == cold
 
 
 @pytest.mark.parametrize("seed, digest", [
