@@ -10,8 +10,6 @@ Under the package's Gram convention, Omega0((1,0),(0,1)) = -1/2 and
 Omega0((0,1),(1,0)) = +1/2 at n = 1.
 """
 
-import functools
-
 import numpy as np
 
 from .core import SKEW, SYMMETRIC, BilinearForm, BlockOperator
@@ -25,50 +23,23 @@ def _check_n(n: int) -> int:
     return n
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
-# Each structure is built once per n and shared, so its matrix is read-only.
-@functools.lru_cache(maxsize=128)
-def _g0(n: int) -> BilinearForm:
-    half = 0.5 * np.eye(n)
-    zero = np.zeros((n, n))
-    return BilinearForm(_frozen(np.block([[zero, half], [half, zero]])), SYMMETRIC)
-
-
-@functools.lru_cache(maxsize=128)
-def _omega0(n: int) -> BilinearForm:
-    half = 0.5 * np.eye(n)
-    zero = np.zeros((n, n))
-    return BilinearForm(_frozen(np.block([[zero, -half], [half, zero]])), SKEW)
-
-
-@functools.lru_cache(maxsize=128)
-def _f0(n: int) -> BlockOperator:
-    return BlockOperator.from_matrix(np.diag(np.repeat([-1.0, 1.0], n)))
-
-
 def g0(n: int) -> BilinearForm:
-    """Natural generalized metric, Gram [[0, I/2], [I/2, 0]], signature (n, n).
-
-    The Gram matrix is read-only and shared between calls with the same n.
-    """
-    return _g0(_check_n(n))
+    """Natural generalized metric, Gram [[0, I/2], [I/2, 0]], signature (n, n)."""
+    n = _check_n(n)
+    half = 0.5 * np.eye(n)
+    zero = np.zeros((n, n))
+    return BilinearForm(np.block([[zero, half], [half, zero]]), SYMMETRIC)
 
 
 def omega0(n: int) -> BilinearForm:
-    """Natural generalized symplectic form, Gram [[0, -I/2], [I/2, 0]].
-
-    The Gram matrix is read-only and shared between calls with the same n.
-    """
-    return _omega0(_check_n(n))
+    """Natural generalized symplectic form, Gram [[0, -I/2], [I/2, 0]]."""
+    n = _check_n(n)
+    half = 0.5 * np.eye(n)
+    zero = np.zeros((n, n))
+    return BilinearForm(np.block([[zero, -half], [half, zero]]), SKEW)
 
 
 def f0(n: int) -> BlockOperator:
-    """Natural generalized paracomplex structure diag(-I, I).
-
-    The operator is shared between calls with the same n.
-    """
-    return _f0(_check_n(n))
+    """Natural generalized paracomplex structure diag(-I, I)."""
+    n = _check_n(n)
+    return BlockOperator.from_matrix(np.diag(np.repeat([-1.0, 1.0], n)))

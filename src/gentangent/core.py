@@ -325,7 +325,9 @@ def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> Polynom
     most 2n * eta, and the product test has bounded eta by tol.rel * sqrt(2n),
     so the rounding is exact while tol.rel * (2n)^(3/2) < 1: for every 2n
     below 10^6 at the default tolerance.  The count is the one the
-    eigenvalues give, each assigned to the nearer of +1 and -1.
+    eigenvalues give, each assigned to the nearer of +1 and -1.  A looser
+    tolerance takes that eigenvalue count itself, since the trace can then
+    be off by a whole unit.
     """
     m = op.assemble()
     sq = m @ m
@@ -337,6 +339,10 @@ def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> Polynom
         if np.linalg.norm(m - ident) <= tol.rel * nid or np.linalg.norm(m + ident) <= tol.rel * nid:
             return NEITHER
         size = m.shape[0]
-        plus = round((size + float(np.trace(m))) / 2)
+        if tol.rel * size**1.5 < 1:
+            plus = round((size + float(np.trace(m))) / 2)
+        else:
+            eig = np.linalg.eigvals(m)
+            plus = int(np.sum(np.abs(eig - 1.0) < np.abs(eig + 1.0)))
         return PolynomialClass("product", plus, size - plus)
     return NEITHER

@@ -17,7 +17,9 @@ that state whose condition number is below the clamp, and leaves the stream
 just after it.  The checks redraw from the same seeds many times, so the
 rejection loop runs once per key in a bounded ``lru_cache`` (128 keys, the
 least recently used dropped first) and later calls only set the stream
-state.  The returned matrix is therefore shared and read-only; copy it
+state.  A key that comes back after more than 128 others runs the loop
+again, as with many trials per check; the bound keeps the memory of large
+n x n draws small.  The returned matrix is shared and read-only; copy it
 before writing.  ``_model_pair`` is cached the same way.
 """
 

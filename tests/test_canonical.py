@@ -68,15 +68,3 @@ def test_dimension_validated():
         gt.g0(0)
     with pytest.raises(gt.DimensionError):
         gt.f0(-1)
-
-
-def test_canonical_structures_are_shared_and_read_only():
-    for n in (1, 2, 5):
-        assert gt.g0(n) is gt.g0(n)
-        for m in (gt.g0(n).gram, gt.omega0(n).gram, gt.f0(n).matrix):
-            with pytest.raises(ValueError):
-                m[0, 0] = 7.0
-    # the values themselves did not change
-    assert np.array_equal(gt.g0(1).gram, [[0.0, 0.5], [0.5, 0.0]])
-    assert np.array_equal(gt.omega0(1).gram, [[0.0, -0.5], [0.5, 0.0]])
-    assert np.array_equal(gt.f0(1).matrix, [[-1.0, 0.0], [0.0, 1.0]])

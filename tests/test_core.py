@@ -257,3 +257,12 @@ def test_polynomial_class_counts_eigenspaces_like_eigvals():
             pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m))
             assert pc.kind == "product", (size, plus)
             assert (pc.plus_dim, pc.minus_dim) == _eigvals_split(m) == (plus, size - plus)
+
+
+def test_polynomial_class_count_at_loose_tolerance():
+    # ||m^2 - I|| = 0.32 passes the product test at rel 0.05 and 2n = 64, but
+    # the trace -1.28 would round to 31 / 33; the eigenvalues split 32 / 32
+    m = np.diag(np.repeat([0.98, -1.02], 32))
+    pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m), gt.Tolerance(rel=0.05))
+    assert (pc.kind, pc.plus_dim, pc.minus_dim) == ("product", 32, 32)
+    assert pc.is_paracomplex

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gentangent as gt
-from gentangent import canonical, generators, registry
+from gentangent import generators, registry
 
 MASK = (1 << 64) - 1
 
@@ -213,9 +213,8 @@ def _verify_rows(seed):
 
 
 def test_run_all_is_unchanged_by_the_memo():
-    for cache in (generators._accepted_draw, generators._model_pair,
-                  canonical._g0, canonical._omega0, canonical._f0):
-        cache.cache_clear()
+    generators._accepted_draw.cache_clear()
+    generators._model_pair.cache_clear()
     cold = _verify_rows(1)
     assert _verify_rows(1) == cold
     _verify_rows(2)
