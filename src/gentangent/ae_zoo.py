@@ -276,11 +276,11 @@ def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperat
     return build_mixed(data, tol)
 
 
-def _g0_conjugated(j: np.ndarray) -> np.ndarray:
-    """Gram of (u, v) -> G0(J X + xi, J Y + eta)."""
+def _g0_conjugated(j: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """Gram of (u, v) -> G0(J X + xi, lam J Y + eta)."""
     n = j.shape[0]
     zero = np.zeros((n, n))
-    return np.block([[zero, 0.5 * j.T], [0.5 * j, zero]])
+    return np.block([[zero, 0.5 * j.T], [0.5 * lam * j, zero]])
 
 
 def _diag(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -306,10 +306,7 @@ def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np
             s = -1.0 if family in ("Jg", "Fom") else +1.0
             return _diag(0.5 * gm, 0.5 * s * sharp.T @ gm @ sharp)
         if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-"):
-            lam = +1.0 if family.endswith("+") else -1.0
-            # G0(J X + xi, lam J Y + eta)
-            zero = np.zeros((n, n))
-            return np.block([[zero, 0.5 * j.T], [0.5 * lam * j, zero]])
+            return _g0_conjugated(j, +1.0 if family.endswith("+") else -1.0)
         if family in ("JJgFlat", "FFgFlat"):
             return _g0_conjugated(j) + _diag(0.5 * gm, np.zeros((n, n)))
         if family in ("JJgSharp", "FFgSharp"):
@@ -328,27 +325,17 @@ def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np
         if family in ("Jphi", "Fphi"):
             # -eps xi(J Y) + eta(J X) and eps xi(J Y) + eta(J X)
             eps = float(data.epsilon)
-            s = -eps if family == "Jphi" else eps
-            zero = np.zeros((n, n))
-            return np.block([[zero, j.T], [s * j, zero]])
-        if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-"):
+            return 2.0 * _g0_conjugated(j, -eps if family == "Jphi" else eps)
+        if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-", "FJg", "JFg"):
+            phi = base_fundamental(data)
+            _, sharp_phi = musicals(phi, tol)
+            dual = sharp_phi.T @ phi.gram @ sharp_phi
+            if family == "FJg":
+                return 2.0 * sqrt(2.0) * g0(n).gram + _diag(phi.gram, dual)
+            if family == "JFg":
+                return -2.0 * sqrt(2.0) * omega0(n).gram + _diag(phi.gram, dual)
             lam = +1.0 if family.endswith("+") else -1.0
-            phi = base_fundamental(data)
-            _, sharp_phi = musicals(phi, tol)
-            s = -lam if family[0] == "J" else lam
-            return _diag(phi.gram, s * sharp_phi.T @ phi.gram @ sharp_phi)
-        if family == "FJg":
-            phi = base_fundamental(data)
-            _, sharp_phi = musicals(phi, tol)
-            return 2.0 * sqrt(2.0) * g0(n).gram + _diag(
-                phi.gram, sharp_phi.T @ phi.gram @ sharp_phi
-            )
-        if family == "JFg":
-            phi = base_fundamental(data)
-            _, sharp_phi = musicals(phi, tol)
-            return -2.0 * sqrt(2.0) * omega0(n).gram + _diag(
-                phi.gram, sharp_phi.T @ phi.gram @ sharp_phi
-            )
+            return _diag(phi.gram, (-lam if family[0] == "J" else lam) * dual)
     raise UnknownFamilyError(f"no closed form registered for {family!r} with {with_metric!r}")
 
 
@@ -393,52 +380,28 @@ def twin_formula_check(family: str, data, tol: Tolerance = DEFAULT_TOL) -> bool:
 def extract_base_complex(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Base matrix J with J^2 = -I from a G0-isometric complex operator.
 
-    Greedily builds a G0-positive-definite op-stable subspace of dimension n
-    (pick a positive vector, adjoin its image, pass to the G0-orthogonal
-    complement), then conjugates op through the anchor projection
-    pi(X + xi) = X.  Restarts with a different seed direction, at most n
-    times, when that projection is singular.
+    With M the operator's matrix, Q = I + M^T M is positive definite and,
+    like G0, M-invariant (M^T Q M = Q as M^2 = -I).  So Q^-1 G0 commutes with
+    M, and its positive eigenspace is M-stable, G0-positive and n-dimensional.
+    One symmetric eigenproblem gives it: with Q = L L^T, it is L^-T times the
+    eigenvectors of the n positive eigenvalues of L^-1 G0 L^-T.  M on that
+    subspace is conjugated through the anchor projection pi(X + xi) = X,
+    injective there since G0(u, u) = xi(X) > 0 for u != 0; a numerically
+    singular projection raises ``ProjectionSingularError``.
     """
     cls = classify_pair(op, g0(op.n), tol)
     if cls.alpha != -1 or cls.epsilon != +1:
         raise IncompatiblePairError("operator is not G0-isometric almost complex")
     n = op.n
-    m = op.assemble()
-    gram0 = g0(n).gram
-    last_error = None
-    for attempt in range(n):
-        basis = _greedy_positive_subspace(m, gram0, n, attempt, tol)
-        top = basis[:n, :]
-        if is_degenerate(top, tol):
-            last_error = ProjectionSingularError("anchor projection singular")
-            continue
-        # op restricted to the subspace, in the chosen basis
-        coeff = np.linalg.lstsq(basis, m @ basis, rcond=None)[0]
-        return top @ coeff @ np.linalg.inv(top)
-    raise last_error or ProjectionSingularError("no positive subspace found")
-
-
-def _greedy_positive_subspace(m, gram0, target_dim, attempt, tol: Tolerance) -> np.ndarray:
-    """Columns spanning a G0-positive, m-stable subspace of the given dimension."""
-    two_n = m.shape[0]
-    chosen = np.zeros((two_n, 0))
-    while chosen.shape[1] < target_dim:
-        if chosen.shape[1] == 0:
-            comp = np.eye(two_n)
-        else:
-            # complement = kernel of u -> G0(chosen_i, u)
-            _, sv, vt = np.linalg.svd(chosen.T @ gram0)
-            rank = int(np.sum(sv > tol.abs * max(sv[0], 1.0)))
-            comp = vt[rank:].T
-        restricted = comp.T @ gram0 @ comp
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (restricted + restricted.T))
-        positive = np.flatnonzero(eigvals > tol.abs)
-        if positive.size == 0:
-            raise ProjectionSingularError("no positive direction left in the complement")
-        # rotate the preferred positive direction with the restart index
-        pick = positive[::-1][attempt % positive.size] if chosen.shape[1] == 0 else positive[-1]
-        v = comp @ eigvecs[:, pick]
-        v = v / np.sqrt(v @ gram0 @ v)
-        w = m @ v
-        chosen = np.column_stack([chosen, v, w])
-    return chosen[:, :target_dim]
+    m = op.matrix
+    low_inv = np.linalg.inv(np.linalg.cholesky(np.eye(2 * n) + m.T @ m))
+    c = low_inv @ g0(n).gram @ low_inv.T
+    _, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    # eigh sorts ascending: the last n eigenvalues are the positive ones
+    basis = low_inv.T @ vecs[:, n:]
+    top = basis[:n, :]
+    if is_degenerate(top, tol):
+        raise ProjectionSingularError("anchor projection singular")
+    # op restricted to the subspace, in the chosen basis
+    coeff = np.linalg.lstsq(basis, m @ basis, rcond=None)[0]
+    return top @ coeff @ np.linalg.inv(top)

@@ -8,7 +8,12 @@ With u = X + xi and v = Y + eta:
 
 Under the package's Gram convention, Omega0((1,0),(0,1)) = -1/2 and
 Omega0((0,1),(1,0)) = +1/2 at n = 1.
+
+G0 and Omega0 are built once per n and shared, so facts derived from them,
+such as the signature of G0, are computed once as well.
 """
+
+import functools
 
 import numpy as np
 
@@ -24,19 +29,26 @@ def _check_n(n: int) -> int:
 
 
 def g0(n: int) -> BilinearForm:
-    """Natural generalized metric, Gram [[0, I/2], [I/2, 0]], signature (n, n)."""
-    n = _check_n(n)
-    half = 0.5 * np.eye(n)
-    zero = np.zeros((n, n))
-    return BilinearForm(np.block([[zero, half], [half, zero]]), SYMMETRIC)
+    """Natural generalized metric, Gram [[0, I/2], [I/2, 0]], signature (n, n).
+
+    Every call with this n returns the same form (read-only, like all forms).
+    """
+    return _canonical_form(_check_n(n), SYMMETRIC)
 
 
 def omega0(n: int) -> BilinearForm:
-    """Natural generalized symplectic form, Gram [[0, -I/2], [I/2, 0]]."""
-    n = _check_n(n)
+    """Natural generalized symplectic form, Gram [[0, -I/2], [I/2, 0]].
+
+    Every call with this n returns the same form (read-only, like all forms).
+    """
+    return _canonical_form(_check_n(n), SKEW)
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_form(n: int, kind: str) -> BilinearForm:
     half = 0.5 * np.eye(n)
     zero = np.zeros((n, n))
-    return BilinearForm(np.block([[zero, -half], [half, zero]]), SKEW)
+    return BilinearForm(np.block([[zero, half if kind == SYMMETRIC else -half], [half, zero]]), kind)
 
 
 def f0(n: int) -> BlockOperator:

@@ -53,6 +53,7 @@ from .gen_metrics import (
 )
 from .generators import (
     AE_KINDS,
+    fixture_dim,
     random_ae_pair,
     random_kahler_data,
     random_metric,
@@ -294,10 +295,9 @@ def _default_base(family, n, seed):
     kind = FAMILY_BASE_KIND[family]
     if kind == "metric":
         return random_metric(n, n, 0, seed)
-    even = n if n % 2 == 0 else n + 1
     if kind == "symplectic":
-        return random_symplectic(even, seed)
-    return random_ae_pair(kind, even, seed)
+        return random_symplectic(fixture_dim(n), seed)
+    return random_ae_pair(kind, fixture_dim(n, kind), seed)
 
 
 def _base_doc(base) -> dict:
@@ -333,7 +333,7 @@ def cmd_fixtures(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     n = args.dim
-    even = n if n % 2 == 0 else n + 1
+    even = fixture_dim(n)
     docs = {}
     g = random_metric(n, n, 0, args.seed)
     docs["metric"] = {"n": n, "seed": args.seed, "base": {"g": g.gram.tolist()}}
@@ -341,7 +341,7 @@ def cmd_fixtures(args) -> int:
     docs["symplectic"] = {"n": even, "seed": args.seed,
                           "base": {"omega": om.gram.tolist()}}
     for kind in AE_KINDS:
-        m = 4 if kind == "IndefiniteHermitian" else even
+        m = fixture_dim(n, kind)
         data = random_ae_pair(kind, m, args.seed)
         family = "JJgFlat" if data.alpha == -1 else "FFgFlat"
         op = build_family(family, data)

@@ -15,6 +15,9 @@ Conventions used throughout the package:
   which realises ``(A* xi)(X) = xi(A X)``.
 * An endomorphism of V + V* is a ``BlockOperator``: one read-only 2n x 2n
   matrix [[H, sigma], [tau, K]], whose four blocks are views into it.
+* Forms are values: ``BaseForm`` and ``BilinearForm`` keep a read-only copy
+  of their Gram, so facts derived from it (``musicals``, ``signature``) are
+  computed once per form and tolerance and kept on the form.
 
 Worked n=1 example: g = [2] gives flat = [2], sharp = [0.5], and
 flat(1)(1) = 2 = g(1, 1).
@@ -195,6 +198,15 @@ class BlockOperator:
         return BlockOperator._of(-self.matrix)
 
 
+def _own_gram(form, gram) -> np.ndarray:
+    """Give a form a read-only copy of its Gram and an empty memo of facts."""
+    g = _as_matrix(np.array(gram, dtype=float))
+    g.flags.writeable = False
+    object.__setattr__(form, "gram", g)
+    object.__setattr__(form, "_facts", {})
+    return g
+
+
 @dataclass(frozen=True)
 class BilinearForm:
     """A bilinear form on V + V*, stored by its 2n x 2n Gram matrix."""
@@ -203,12 +215,10 @@ class BilinearForm:
     kind: str = GENERAL
 
     def __post_init__(self):
-        g = _as_matrix(self.gram)
-        if g.shape[0] % 2 != 0:
+        if _own_gram(self, self.gram).shape[0] % 2 != 0:
             raise DimensionError("Gram matrix must be 2n x 2n")
         if self.kind not in (SYMMETRIC, SKEW, GENERAL):
             raise ValueError(f"unknown form kind {self.kind!r}")
-        object.__setattr__(self, "gram", g)
 
     @property
     def n(self) -> int:
@@ -228,10 +238,9 @@ class BaseForm:
     kind: str = SYMMETRIC
 
     def __post_init__(self):
-        g = _as_matrix(self.gram)
+        _own_gram(self, self.gram)
         if self.kind not in (SYMMETRIC, SKEW):
             raise ValueError(f"base form kind must be symmetric or skew, got {self.kind!r}")
-        object.__setattr__(self, "gram", g)
 
     @property
     def n(self) -> int:
@@ -267,24 +276,38 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
     """Flat and sharp coordinate matrices of a nondegenerate base form.
 
     flat sends X-coordinates to the dual coordinates of flat(X), i.e.
-    flat = gram.T; sharp is its inverse.
+    flat = gram.T; sharp is its inverse.  Both are computed once per
+    (form, tol), kept on the form and returned read-only.  A degenerate
+    form raises ``DegenerateFormError``, on every call: errors are not kept.
     """
-    if is_degenerate(b.gram, tol):
-        raise DegenerateFormError("base form is numerically degenerate")
-    flat = b.gram.T.copy()
-    sharp = np.linalg.inv(flat)
-    return flat, sharp
+    key = ("musicals", tol)
+    if key not in b._facts:
+        if is_degenerate(b.gram, tol):
+            raise DegenerateFormError("base form is numerically degenerate")
+        flat = b.gram.T.copy()
+        sharp = np.linalg.inv(flat)
+        flat.flags.writeable = sharp.flags.writeable = False
+        b._facts[key] = flat, sharp
+    return b._facts[key]
 
 
 def signature(f, tol: Tolerance = DEFAULT_TOL):
-    """Counts (r, s) of positive/negative eigenvalues of a symmetric form."""
+    """Counts (r, s) of positive/negative eigenvalues of a symmetric form.
+
+    An eigenvalue within tol.abs of zero raises ``DegenerateFormError``.  The
+    counts are computed once per (form, tol) and kept on the form; errors
+    are not kept, so each call with that tolerance raises again.
+    """
     if f.kind != SYMMETRIC:
         raise ValueError("signature is defined for symmetric forms only")
-    eig = np.linalg.eigvalsh(0.5 * (f.gram + f.gram.T))
-    if np.any(np.abs(eig) <= tol.abs):
-        raise DegenerateFormError("eigenvalue within tolerance of zero")
-    r = int(np.sum(eig > 0))
-    return r, eig.size - r
+    key = ("signature", tol)
+    if key not in f._facts:
+        eig = np.linalg.eigvalsh(0.5 * (f.gram + f.gram.T))
+        if np.any(np.abs(eig) <= tol.abs):
+            raise DegenerateFormError("eigenvalue within tolerance of zero")
+        r = int(np.sum(eig > 0))
+        f._facts[key] = r, eig.size - r
+    return f._facts[key]
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,18 @@ def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDIT
     return p
 
 
+def fixture_dim(n: int, kind: str | None = None) -> int:
+    """Dimension at which fixtures are drawn for a requested dimension n.
+
+    Every fixture but a plain metric needs an even dimension, so an odd n is
+    rounded up; indefinite Hermitian data (``kind``) is always drawn at 4,
+    the least dimension it exists in.
+    """
+    if kind == INDEFINITE_HERMITIAN_KIND:
+        return 4
+    return n + n % 2
+
+
 def random_metric(n: int, r: int, s: int, seed: int) -> BaseForm:
     """Symmetric base form of signature (r, s): P.T diag(+1 x r, -1 x s) P."""
     if r < 0 or s < 0 or r + s != n:

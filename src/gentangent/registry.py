@@ -10,6 +10,7 @@ finite case table ignore ``trials`` and report the table size instead.
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .gen_metrics import (
 )
 from .generators import (
     SplitMix64,
+    fixture_dim,
     random_ae_pair,
     random_invertible,
     random_kahler_data,
@@ -71,10 +73,6 @@ class VerifyReport:
         return self.failures == 0
 
 
-def _even(n: int) -> int:
-    return n if n % 2 == 0 else n + 1
-
-
 def _residual(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
@@ -90,7 +88,7 @@ def _check_flat_sharp(n, trials, seed, tol):
     max_res = 0.0
     for t in range(trials):
         kind = kinds[t % len(kinds)]
-        m = 4 if kind == "IndefiniteHermitian" else _even(n)
+        m = fixture_dim(n, kind)
         data = random_ae_pair(kind, m, _trial_seed(seed, t))
         if not check_flat_sharp_identities(data, tol):
             failures += 1
@@ -220,8 +218,8 @@ def _iff_failures(cells, against_g0, n, trials, seed, tol):
     for t in range(trials):
         for i, (fam, good_kind, bad_kind) in enumerate(cells):
             s = _trial_seed(seed, t * len(cells) + i)
-            good = random_ae_pair(good_kind, _even(n), s)
-            bad = random_ae_pair(bad_kind, _even(n), s + 1)
+            good = random_ae_pair(good_kind, fixture_dim(n), s)
+            bad = random_ae_pair(bad_kind, fixture_dim(n), s + 1)
             for data, want_ok in ((good, True), (bad, False)):
                 op = build_family(fam, data, tol)
                 metric = g0(data.n) if against_g0 else induced_metric(data.g, tol)
@@ -258,8 +256,8 @@ def _twin_data(family, n, seed, tol):
         r = int(rng.uniform() * (n + 1))
         return random_metric(n, r, n - r, seed + 1)
     if kind == "symplectic":
-        return random_symplectic(_even(n), seed)
-    return random_ae_pair(kind, _even(n), seed)
+        return random_symplectic(fixture_dim(n), seed)
+    return random_ae_pair(kind, fixture_dim(n), seed)
 
 
 def _check_twin_metrics(n, trials, seed, tol):
@@ -308,7 +306,7 @@ def _check_canonical_triples(n, trials, seed, tol):
     names = triples.TRIPLE_NAMES
     for t in range(trials):
         for i, name in enumerate(names):
-            data = random_ae_pair(_triple_data_kind(name), _even(n),
+            data = random_ae_pair(_triple_data_kind(name), fixture_dim(n),
                                   _trial_seed(seed, t * len(names) + i))
             first, second, third = triples.canonical_triple(name, data, tol)
             report = triples.classify_triple(first, second, tol)
@@ -328,7 +326,7 @@ def _check_mixed_decomposition(alpha, n, trials, seed, tol):
     failures = 0
     max_res = 0.0
     for t in range(trials):
-        data = random_ae_pair(kinds[t % 2], _even(n), _trial_seed(seed, t))
+        data = random_ae_pair(kinds[t % 2], fixture_dim(n), _trial_seed(seed, t))
         mixed = build_mixed(data, tol).assemble()
         musical = build_family("Fg" if alpha == -1 else "Jg", data.g, tol)
         lam = data.epsilon if alpha == -1 else -data.epsilon
@@ -341,20 +339,12 @@ def _check_mixed_decomposition(alpha, n, trials, seed, tol):
     return trials, failures, max_res
 
 
-def _check_triple_mjg(n, trials, seed, tol):
-    return _check_mixed_decomposition(-1, n, trials, seed, tol)
-
-
-def _check_triple_mfg(n, trials, seed, tol):
-    return _check_mixed_decomposition(+1, n, trials, seed, tol)
-
-
 def _check_combine_law(n, trials, seed, tol):
     failures = 0
     max_res = 0.0
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
-        data = random_ae_pair("Hermitian", _even(n), _trial_seed(seed, t) + 1)
+        data = random_ae_pair("Hermitian", fixture_dim(n), _trial_seed(seed, t) + 1)
         triple = triples.canonical_triple("biparaC", data, tol)
         a, b, c = (2.0 * rng.symmetric_uniform() for _ in range(3))
         combo, _ = triples.combine(a, b, c, triple, tol)
@@ -373,7 +363,7 @@ def _check_combine_law(n, trials, seed, tol):
 def _check_kahler_example(n, trials, seed, tol):
     failures = 0
     for t in range(trials):
-        data = random_ae_pair("Hermitian", _even(n), _trial_seed(seed, t))
+        data = random_ae_pair("Hermitian", fixture_dim(n), _trial_seed(seed, t))
         phi = base_fundamental(data)
         j_phi = build_musical(phi, -1, tol)
         j_minus = build_diagonal(data.J, -1, tol)
@@ -391,7 +381,7 @@ def _check_kahler_roundtrip(n, trials, seed, tol):
     eff = Tolerance(max(tol.abs, 1e-8), max(tol.rel, 1e-8))
     failures = 0
     for t in range(trials):
-        kd = random_kahler_data(_even(n), _trial_seed(seed, t))
+        kd = random_kahler_data(fixture_dim(n), _trial_seed(seed, t))
         if not triples.kahler_roundtrip(kd, eff):
             failures += 1
     return trials, failures, float(failures > 0)
@@ -400,7 +390,7 @@ def _check_kahler_roundtrip(n, trials, seed, tol):
 def _check_base_extraction(n, trials, seed, tol):
     failures = 0
     max_res = 0.0
-    m = _even(n)
+    m = fixture_dim(n)
     ident = np.eye(m)
     for t in range(trials):
         s = _trial_seed(seed, t)
@@ -452,10 +442,10 @@ _REGISTRY = {
         _check_canonical_triples),
     "P5.triple-MJG": (
         "mixed structure from alpha = -1 data splits as sqrt2 Fg + diag(J)",
-        _check_triple_mjg),
+        partial(_check_mixed_decomposition, -1)),
     "P5.triple-MFG": (
         "mixed structure from alpha = +1 data splits as sqrt2 Jg + diag(F)",
-        _check_triple_mfg),
+        partial(_check_mixed_decomposition, +1)),
     "P5.combine-law": (
         "(a F + b F' + c J)^2 = (a^2 + b^2 - c^2) Id on anti-commuting triples",
         _check_combine_law),

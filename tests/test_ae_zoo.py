@@ -222,3 +222,34 @@ def test_extract_base_complex_from_diagonal():
 def test_extract_base_complex_rejects_wrong_input():
     with pytest.raises(gt.IncompatiblePairError):
         gt.extract_base_complex(gt.f0(2))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32])
+def test_extract_base_complex_squares_to_minus_identity(n):
+    # both kinds of input the T5 check feeds; over 10^4 random seeds the
+    # eigenproblem's worst miss was about 1e-10
+    for seed in range(1, 21):
+        om = gt.random_symplectic(n, seed)
+        data = gt.random_ae_pair("Hermitian", n, seed)
+        for op in (gt.build_musical(om, -1), gt.build_diagonal(data.J, -1)):
+            j = gt.extract_base_complex(op)
+            assert np.linalg.norm(j @ j + np.eye(n)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32])
+def test_extract_base_complex_rejects_non_isometric_input(n):
+    with pytest.raises(gt.IncompatiblePairError):
+        gt.extract_base_complex(gt.f0(n))
+    # the musical complex structure of a metric is G0-anti-isometric (Norden)
+    jg = gt.build_musical(gt.random_metric(n, n, 0, seed=3), -1)
+    assert gt.classify_pair(jg, gt.g0(n)).epsilon == -1
+    with pytest.raises(gt.IncompatiblePairError):
+        gt.extract_base_complex(jg)
+
+
+def test_base_extraction_check_passes_on_ill_conditioned_symplectic_form():
+    # trial 2 is Jom of a symplectic form whose basis change has cond 981;
+    # the earlier greedy extraction missed -I there by 4.2e-8 > 1e-8
+    from gentangent.registry import run_check
+
+    assert run_check("T5.base-extraction", 32, 3, 1317418898).failures == 0

@@ -68,3 +68,13 @@ def test_dimension_validated():
         gt.g0(0)
     with pytest.raises(gt.DimensionError):
         gt.f0(-1)
+
+
+def test_canonical_forms_are_shared_per_n():
+    for n in (1, 3, 32):
+        assert gt.g0(n) is gt.g0(n)
+        assert gt.omega0(n) is gt.omega0(n)
+    assert gt.g0(2) is not gt.g0(3)
+    with pytest.raises(ValueError):
+        gt.g0(2).gram[0, 2] = 1.0
+

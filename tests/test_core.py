@@ -266,3 +266,54 @@ def test_polynomial_class_count_at_loose_tolerance():
     pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m), gt.Tolerance(rel=0.05))
     assert (pc.kind, pc.plus_dim, pc.minus_dim) == ("product", 32, 32)
     assert pc.is_paracomplex
+
+
+def test_forms_own_a_read_only_gram():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = gt.BaseForm(a)
+    assert a.flags.writeable
+    a[0, 0] = 5.0
+    assert b.gram[0, 0] == 2.0
+    flat, sharp = gt.musicals(b)
+    for m in (b.gram, flat, sharp):
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+    big = np.eye(4)
+    form = gt.BilinearForm(big, gt.SYMMETRIC)
+    assert big.flags.writeable
+    with pytest.raises(ValueError):
+        form.gram[0, 0] = 0.0
+
+
+def test_musicals_are_kept_on_the_form():
+    b = gt.BaseForm(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    flat, sharp = gt.musicals(b)
+    again = gt.musicals(b)
+    assert again[0] is flat and again[1] is sharp
+    assert np.allclose(flat @ sharp, np.eye(2))
+
+
+@pytest.mark.parametrize("loose_first", [False, True])
+def test_signature_is_kept_per_tolerance(loose_first):
+    # an eigenvalue of 1e-10 is zero at the default tolerance only
+    form = gt.BilinearForm(np.diag([1.0, 1e-10, -1.0, 2.0]), gt.SYMMETRIC)
+    loose = gt.Tolerance(1e-12, 1e-12)
+    if loose_first:
+        assert gt.signature(form, loose) == (3, 1)
+    for _ in range(2):
+        # an error is not kept: the next call raises it again
+        with pytest.raises(gt.DegenerateFormError):
+            gt.signature(form)
+    assert gt.signature(form, loose) == (3, 1)
+
+
+@pytest.mark.parametrize("loose_first", [False, True])
+def test_musicals_are_kept_per_tolerance(loose_first):
+    b = gt.BaseForm(np.diag([1.0, 1e-10]))
+    loose = gt.Tolerance(1e-12, 1e-12)
+    if loose_first:
+        assert np.allclose(gt.musicals(b, loose)[1], np.diag([1.0, 1e10]))
+    for _ in range(2):
+        with pytest.raises(gt.DegenerateFormError):
+            gt.musicals(b)
+    assert np.allclose(gt.musicals(b, loose)[1], np.diag([1.0, 1e10]))
