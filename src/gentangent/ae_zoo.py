@@ -20,9 +20,9 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _inverse_unless_degenerate,
     close,
     dual_map,
-    is_degenerate,
     musicals,
     polynomial_class,
     signature,
@@ -400,8 +400,9 @@ def extract_base_complex(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> np.
     # eigh sorts ascending: the last n eigenvalues are the positive ones
     basis = low_inv.T @ vecs[:, n:]
     top = basis[:n, :]
-    if is_degenerate(top, tol):
+    top_inv = _inverse_unless_degenerate(top, tol)
+    if top_inv is None:
         raise ProjectionSingularError("anchor projection singular")
     # op restricted to the subspace, in the chosen basis
     coeff = np.linalg.lstsq(basis, m @ basis, rcond=None)[0]
-    return top @ coeff @ np.linalg.inv(top)
+    return top @ coeff @ top_inv

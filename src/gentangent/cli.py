@@ -188,7 +188,8 @@ def _classify(doc, tol):
         out["triple"] = {
             "kind": report.kind,
             "commutation": report.commutation_sign,
-            "product": _operator_doc(report.product),
+            "product": (None if report.product is None
+                        else _operator_doc(report.product)),
         }
         return out
     if "metric" in doc:
@@ -251,6 +252,8 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise InputError("malformed JSON: arrays or objects nested too deeply")
 
 
 def cmd_classify(args) -> int:
@@ -329,9 +332,16 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_fixtures(args) -> int:
-    out_dir = args.out
+def _write_fixtures(out_dir, docs) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    for name, doc in docs.items():
+        path = os.path.join(out_dir, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        print(path)
+
+
+def cmd_fixtures(args) -> int:
     n = args.dim
     even = fixture_dim(n)
     docs = {}
@@ -359,11 +369,10 @@ def cmd_fixtures(args) -> int:
         "kahler": {"b": kd.b.tolist(), "g": kd.g.gram.tolist(),
                    "J1": kd.J1.tolist(), "J2": kd.J2.tolist()},
     }
-    for name, doc in docs.items():
-        path = os.path.join(out_dir, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        print(path)
+    try:
+        _write_fixtures(args.out, docs)
+    except OSError as exc:
+        raise InputError(f"--out {args.out!r}: {exc.strerror or exc}")
     return 0
 
 

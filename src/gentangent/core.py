@@ -267,9 +267,92 @@ def dual_map(a) -> np.ndarray:
 
 
 def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Scale-invariant singularity test on the singular values."""
+    """Scale-invariant singularity test on the singular values:
+    sigma_min <= tol.abs * max(sigma_max, 1).
+
+    This is the one definition of "degenerate".  Callers that invert the
+    matrix anyway ask ``_inverse_unless_degenerate``, which gives the same
+    answer and runs this SVD only where its cheaper certificate is silent.
+    """
     sv = np.linalg.svd(gram, compute_uv=False)
     return sv.size == 0 or sv[-1] <= tol.abs * max(sv[0], 1.0)
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+# The certificate trusts LAPACK's singular values to within p(n) * u *
+# sigma_max for p(n) up to 32 n; it runs only where tol.abs >= 2 * 32 n u.
+_SVD_SLACK = 64
+# Sums of squares outside [2^-800, 2^800] may have lost bits to underflow or
+# overflow; the certificate leaves such matrices to the SVD.
+_SQUARES_RANGE = (2.0**-800, 2.0**800)
+
+
+def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
+    """True only if ``is_degenerate(a, tol)`` is False, judged from x ~ a^-1.
+
+    Write u = 2^-53 and E = I - X A, exactly, for the computed X.  The
+    computed product is within gamma_n |X||A| of X A, and each computed
+    Frobenius norm (a dot product of n^2 squares) within a relative
+    (n^2 + 2) u of its value.  delta = 2 (n^2 + n + 4) u is twice what these
+    first-order terms need; the spare half covers the few roundings in the
+    formulas below.  So, with norms as computed,
+
+        r = (||fl(X A - I)||_F + delta ||X||_F ||A||_F) (1 + delta) >= ||E||_2.
+
+    If r <= 1/2, then X A = I - E is invertible with smallest singular value
+    at least 1 - r, and sigma_min(A) >= (1 - r) / ||X||_2 >= lower, where
+    lower = (1 - r) / (||X||_F (1 + delta)); sigma_max(A) <= upper =
+    ||A||_F (1 + delta).  LAPACK's singular values are off by at most
+    e = p(n) u sigma_max <= (t / 2) M, for t = tol.abs >= 2 p(n) u and
+    M = max(upper, 1).  Acceptance, lower > 2 t M, forces t < 1/2 (as
+    lower <= sigma_min <= M), and gives
+
+        sigma_min_svd >= lower - e > 1.5 t M > t M (1 + t / 2)
+                      >= t max(sigma_max_svd, 1),
+
+    so the SVD finds A nondegenerate too.  Any other case, including a
+    non-finite intermediate, proves nothing and returns False.
+    """
+    n = a.shape[0]
+    if tol.abs < _SVD_SLACK * n * _UNIT_ROUNDOFF:
+        return False
+    delta = 2 * (n * n + n + 4) * _UNIT_ROUNDOFF
+    with np.errstate(all="ignore"):
+        residual = (x @ a).ravel()
+        residual[:: n + 1] -= 1.0
+        a_flat, x_flat = a.ravel(), x.ravel()
+        r_sq, a_sq, x_sq = residual.dot(residual), a_flat.dot(a_flat), x_flat.dot(x_flat)
+    low, high = _SQUARES_RANGE
+    if not (low <= a_sq <= high and low <= x_sq <= high):
+        return False
+    a_norm, x_norm = math.sqrt(a_sq), math.sqrt(x_sq)
+    r = (math.sqrt(r_sq) + delta * x_norm * a_norm) * (1 + delta)
+    if not r <= 0.5:
+        return False
+    lower = (1 - r) / (x_norm * (1 + delta))
+    return lower > 2 * tol.abs * max(a_norm * (1 + delta), 1.0)
+
+
+def _inverse_unless_degenerate(a, tol: Tolerance, gram=None):
+    """``np.linalg.inv(a)``, or None where ``is_degenerate(gram, tol)`` holds.
+
+    gram defaults to a; it must have a's singular values (``musicals``
+    inverts the transpose of the form's Gram), and the SVD, where one runs,
+    is taken of gram, as a test before the inversion would take it.  The
+    inverse is computed first, and ``_certifies_nondegenerate`` reads the
+    answer from it where it can, without an SVD.  Either way the answer and
+    the returned bits are the ones "test, then invert" gives, including a
+    ``LinAlgError`` from inverting a matrix the SVD calls nondegenerate.
+    """
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None and _certifies_nondegenerate(a, x, tol):
+        return x
+    if is_degenerate(a if gram is None else gram, tol):
+        return None
+    return np.linalg.inv(a) if x is None else x
 
 
 def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
@@ -278,14 +361,17 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
     flat sends X-coordinates to the dual coordinates of flat(X), i.e.
     flat = gram.T; sharp is its inverse.  Both are computed once per
     (form, tol), kept on the form and returned read-only.  A degenerate
-    form raises ``DegenerateFormError``, on every call: errors are not kept.
+    form (``is_degenerate`` of the Gram) raises ``DegenerateFormError``, on
+    every call: errors are not kept.  The rank test reads the inverse that
+    is computed anyway and runs an SVD only where that cannot decide (see
+    ``_inverse_unless_degenerate``).
     """
     key = ("musicals", tol)
     if key not in b._facts:
-        if is_degenerate(b.gram, tol):
-            raise DegenerateFormError("base form is numerically degenerate")
         flat = b.gram.T.copy()
-        sharp = np.linalg.inv(flat)
+        sharp = _inverse_unless_degenerate(flat, tol, b.gram)
+        if sharp is None:
+            raise DegenerateFormError("base form is numerically degenerate")
         flat.flags.writeable = sharp.flags.writeable = False
         b._facts[key] = flat, sharp
     return b._facts[key]

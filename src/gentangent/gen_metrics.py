@@ -25,6 +25,7 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _inverse_unless_degenerate,
     close,
     dual_map,
     is_degenerate,
@@ -108,15 +109,19 @@ def diagonal_inducer(h, lam: int) -> BlockOperator:
 
 
 def induced_metric(g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
-    """Generalized metric induced by a base metric: Gram [[G, 0], [0, G^-1]]."""
+    """Generalized metric induced by a base metric: Gram [[G, 0], [0, G^-1]].
+
+    A degenerate G (``is_degenerate``) raises ``DegenerateFormError``; the
+    test reads the inverse that is needed anyway and runs an SVD only where
+    that cannot decide.
+    """
     if g.kind != SYMMETRIC:
         raise ValueError("expected a symmetric base form")
-    if is_degenerate(g.gram, tol):
+    inverse = _inverse_unless_degenerate(g.gram, tol)
+    if inverse is None:
         raise DegenerateFormError("base metric is numerically degenerate")
     zero = np.zeros((g.n, g.n))
-    return BilinearForm(
-        np.block([[g.gram, zero], [zero, np.linalg.inv(g.gram)]]), SYMMETRIC
-    )
+    return BilinearForm(np.block([[g.gram, zero], [zero, inverse]]), SYMMETRIC)
 
 
 def nannicini_metric(j, g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:

@@ -290,3 +290,42 @@ def test_classify_huge_entries_do_not_overflow(capsys, monkeypatch):
     assert inducer["metric_violations"] == ["KBlockNotHDual"]
     assert inducer["symplectic_violations"] == [
         "KBlockNotHDual", "TauNotSkew", "SigmaNotSkew"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_classify_operator_pair_that_is_no_triple(capsys, monkeypatch, fmt):
+    # Jg and Fg of one metric anti-commute but square to -I and +I
+    g = gt.random_metric(2, 2, 0, 5)
+    doc = {"n": 2, "operator": _op_doc(gt.build_family("Jg", g)),
+           "operator2": _op_doc(gt.build_family("Fg", g))}
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["classify", "--format", fmt], json.dumps(doc))
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1])["triple"] == {
+        "kind": "None", "commutation": None, "product": None}
+    if fmt == "table":
+        assert out.splitlines()[0].split() == ["triple", "kind", "None"]
+
+
+def test_fixtures_out_below_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["fixtures", "--dim", "2",
+                              "--out", str(blocker / "sub")])
+    assert code == 2
+    assert err.startswith("error:") and "sub" in err
+    assert out == ""
+
+
+def test_classify_deeply_nested_json_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, monkeypatch, ["classify"], "[" * 100_000)
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_classify_singular_base_metric_exits_2(capsys, monkeypatch):
+    doc = {"n": 2, "family": "Jg", "base": {"g": [[1.0, 1.0], [1.0, 1.0]]}}
+    code, _, err = run_cli(capsys, monkeypatch, ["classify"], json.dumps(doc))
+    assert code == 2
+    assert err == "error: base form is numerically degenerate\n"

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import gentangent as gt
-from gentangent.core import NEITHER, is_degenerate
+from gentangent.core import (
+    NEITHER,
+    _certifies_nondegenerate,
+    _inverse_unless_degenerate,
+    is_degenerate,
+)
 
 from block_rules import apply_by_blocks, combine_by_blocks, compose_by_blocks
 
@@ -317,3 +322,80 @@ def test_musicals_are_kept_per_tolerance(loose_first):
         with pytest.raises(gt.DegenerateFormError):
             gt.musicals(b)
     assert np.allclose(gt.musicals(b, loose)[1], np.diag([1.0, 1e10]))
+
+
+def _with_singular_values(sv, seed):
+    """Q1 diag(sv) Q2 for seeded orthogonal Q1, Q2."""
+    rng = np.random.default_rng(seed)
+    n = len(sv)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * np.asarray(sv)) @ q2
+
+
+def _rank_cases():
+    """(matrix, tol, certifiable) near and far from the is_degenerate
+    boundary, at each n; certifiable marks a matrix whose sigma_min is
+    1e3 * tol.abs * max(sigma_max, 1) at a tolerance the certificate uses."""
+    cases = []
+    for n in (1, 2, 3, 8, 32, 64):
+        for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15),
+                    gt.Tolerance(1e-3, 1e-9)):
+            usable = tol.abs >= 64 * n * 2.0**-53
+            for top in (1e-3, 1.0, 1e4):
+                # sigma_min on either side of tol.abs * max(sigma_max, 1)
+                for side in (1 - 1e-6, 1 + 1e-6, 1e3):
+                    bottom = tol.abs * max(top, 1.0) * side
+                    if bottom > top:
+                        continue
+                    sv = np.geomspace(top, bottom, n) if n > 1 else [bottom]
+                    cases.append((_with_singular_values(sv, n), tol,
+                                  usable and side == 1e3))
+            for scale in (2.0**600, 2.0**-600):
+                cases.append((scale * _with_singular_values(
+                    np.geomspace(1.0, 0.1, n), n + 1), tol, False))
+            cases.append((np.zeros((n, n)), tol, False))
+            cases.append((1e-10 * np.eye(n), tol, False))
+            cases.append((gt.random_metric(n, n, 0, 7 + n).gram, tol,
+                          usable and tol.abs < 1e-6))
+        if n > 1:
+            rank_one = np.outer(np.arange(1.0, n + 1), np.ones(n))
+            cases.append((rank_one, gt.DEFAULT_TOL, False))
+    return cases
+
+
+def test_rank_certificate_agrees_with_the_svd():
+    for a, tol, certifiable in _rank_cases():
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            x = None
+        certified = x is not None and _certifies_nondegenerate(a, x, tol)
+        if certified:
+            assert not is_degenerate(a, tol)
+        # the certificate is not vacuous: it decides the clear cases
+        assert certified or not certifiable
+        got = _inverse_unless_degenerate(a, tol)
+        if is_degenerate(a, tol):
+            assert got is None
+        else:
+            # the bits of the inverse that "test, then invert" returns
+            assert got is not None and np.array_equal(got, np.linalg.inv(a))
+
+
+def test_rank_certificate_reads_the_transpose_for_musicals():
+    # the SVD, where one runs, is of the Gram; the inverse is of gram.T
+    gram = np.array([[2.0, 1.0], [-3.0, 1.0]])
+    for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15)):
+        got = _inverse_unless_degenerate(gram.T.copy(), tol, gram)
+        assert np.array_equal(got, np.linalg.inv(gram.T.copy()))
+
+
+def test_small_base_metrics_stay_degenerate():
+    small = gt.BaseForm(1e-10 * np.eye(2), gt.SYMMETRIC)
+    with pytest.raises(gt.DegenerateFormError,
+                       match="base form is numerically degenerate"):
+        gt.build_family("Jg", small)
+    with pytest.raises(gt.DegenerateFormError,
+                       match="base metric is numerically degenerate"):
+        gt.induced_metric(small)

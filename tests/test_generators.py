@@ -239,3 +239,48 @@ def test_matrix_stream_pinned_digest(seed, digest):
     # every seeded fixture depends on this stream; it must never drift
     m = gt.SplitMix64(seed).matrix(32, 32)
     assert hashlib.sha256(m.tobytes()).hexdigest() == digest
+
+
+def _svd_accepts(p, max_condition):
+    sv = np.linalg.svd(p, compute_uv=False)
+    return sv[-1] > 0 and sv[0] / sv[-1] < max_condition
+
+
+def test_cholesky_rejection_never_rejects_what_the_svd_accepts():
+    rejected = {"svd": 0, "cholesky": 0}
+    for n in (2, 3, 8, 32):
+        rng = gt.SplitMix64(1000 + n)
+        for _ in range(2500):
+            p = rng.matrix(n, n)
+            for clamp in (50.0, 1e3):
+                surely = generators._surely_ill_conditioned(
+                    p, generators._rejection_shift(n, clamp))
+                if _svd_accepts(p, clamp):
+                    assert not surely
+                else:
+                    rejected["svd"] += 1
+                    rejected["cholesky"] += surely
+    # the test is not vacuous: it catches most of the SVD's rejections
+    assert rejected["cholesky"] >= 0.5 * rejected["svd"]
+
+
+def test_cholesky_rejection_at_the_clamp():
+    # cond = clamp * (1 +/- 1e-9): the SVD accepts below the clamp, and the
+    # test must leave those to it
+    for n in (2, 3, 8, 32):
+        for clamp in (50.0, 1e3):
+            shift = generators._rejection_shift(n, clamp)
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                for side in (1 - 1e-9, 1 + 1e-9):
+                    sv = np.geomspace(1.0, 1.0 / (clamp * side), n)
+                    p = (q1 * sv) @ q2
+                    if _svd_accepts(p, clamp):
+                        assert not generators._surely_ill_conditioned(p, shift)
+
+
+def test_cholesky_rejection_is_off_where_its_margin_is_large():
+    assert 0 < generators._rejection_shift(32, 1e3) < 1e-6
+    assert generators._rejection_shift(32, 1e8) == 0.0
