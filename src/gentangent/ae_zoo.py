@@ -20,6 +20,7 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _assemble,
     _inverse_unless_degenerate,
     close,
     dual_map,
@@ -34,7 +35,7 @@ from .errors import (
     ProjectionSingularError,
     UnknownFamilyError,
 )
-from .gen_metrics import induced_metric
+from .gen_metrics import _diagonal, induced_metric
 
 PRODUCT_RIEMANNIAN = "ProductRiemannian"
 PRODUCT_PSEUDO_RIEMANNIAN = "ProductPseudoRiemannian"
@@ -177,8 +178,7 @@ def build_musical(b: BaseForm, sign: int, tol: Tolerance = DEFAULT_TOL) -> Block
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     flat, sharp = musicals(b, tol)
-    zero = np.zeros((b.n, b.n))
-    return BlockOperator(zero, sign * sharp, flat, zero)
+    return BlockOperator(0, sign * sharp, flat, 0)
 
 
 def build_diagonal(a, lam: int, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
@@ -190,8 +190,7 @@ def build_diagonal(a, lam: int, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
     ident = np.eye(a.shape[0])
     if not (close(sq, ident, tol) or close(sq, -ident, tol)):
         raise NotPolynomialError("A squares to neither +I nor -I")
-    zero = np.zeros_like(a)
-    return BlockOperator(a, zero, zero, lam * dual_map(a))
+    return _diagonal(a, lam)
 
 
 FLAT = "Flat"
@@ -207,13 +206,12 @@ def build_triangular(data: AeManifoldData, variant: str, tol: Tolerance = DEFAUL
     if variant not in (FLAT, SHARP):
         raise ValueError("variant must be Flat or Sharp")
     flat, sharp = musicals(data.g, tol)
-    zero = np.zeros((data.n, data.n))
     dual = data.epsilon * dual_map(data.J)
     if data.alpha == +1:
         dual = -dual
     if variant == FLAT:
-        return BlockOperator(data.J, zero, flat, dual)
-    return BlockOperator(data.J, sharp, zero, dual)
+        return BlockOperator(data.J, 0, flat, dual)
+    return BlockOperator(data.J, sharp, 0, dual)
 
 
 def build_mixed(data: AeManifoldData, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
@@ -278,14 +276,7 @@ def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperat
 
 def _g0_conjugated(j: np.ndarray, lam: float = 1.0) -> np.ndarray:
     """Gram of (u, v) -> G0(J X + xi, lam J Y + eta)."""
-    n = j.shape[0]
-    zero = np.zeros((n, n))
-    return np.block([[zero, 0.5 * j.T], [0.5 * lam * j, zero]])
-
-
-def _diag(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    zero = np.zeros_like(a)
-    return np.block([[a, zero], [zero, d]])
+    return _assemble(0, 0.5 * j.T, 0.5 * lam * j, 0)
 
 
 def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np.ndarray:
@@ -304,19 +295,19 @@ def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np
             # (g(X, Y) + s g(sharp xi, sharp eta)) / 2; the sign of the dual
             # term flips between a metric and a symplectic g
             s = -1.0 if family in ("Jg", "Fom") else +1.0
-            return _diag(0.5 * gm, 0.5 * s * sharp.T @ gm @ sharp)
+            return _assemble(0.5 * gm, 0, 0, 0.5 * s * sharp.T @ gm @ sharp)
         if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-"):
             return _g0_conjugated(j, +1.0 if family.endswith("+") else -1.0)
         if family in ("JJgFlat", "FFgFlat"):
-            return _g0_conjugated(j) + _diag(0.5 * gm, np.zeros((n, n)))
+            return _g0_conjugated(j) + _assemble(0.5 * gm, 0, 0, 0)
         if family in ("JJgSharp", "FFgSharp"):
             _, sharp = musicals(g, tol)
-            return _g0_conjugated(j) + _diag(np.zeros((n, n)), 0.5 * sharp.T @ gm @ sharp)
+            return _g0_conjugated(j) + _assemble(0, 0, 0, 0.5 * sharp.T @ gm @ sharp)
         if family in ("FJg", "JFg"):
             _, sharp = musicals(g, tol)
             half = sqrt(2.0) / 2.0
             s = half if family == "FJg" else -half
-            return _g0_conjugated(j) + _diag(half * gm, s * sharp.T @ gm @ sharp)
+            return _g0_conjugated(j) + _assemble(half * gm, 0, 0, s * sharp.T @ gm @ sharp)
     elif with_metric == "Gg":
         if family == "Jg":
             return -2.0 * omega0(n).gram
@@ -331,11 +322,11 @@ def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np
             _, sharp_phi = musicals(phi, tol)
             dual = sharp_phi.T @ phi.gram @ sharp_phi
             if family == "FJg":
-                return 2.0 * sqrt(2.0) * g0(n).gram + _diag(phi.gram, dual)
+                return 2.0 * sqrt(2.0) * g0(n).gram + _assemble(phi.gram, 0, 0, dual)
             if family == "JFg":
-                return -2.0 * sqrt(2.0) * omega0(n).gram + _diag(phi.gram, dual)
+                return -2.0 * sqrt(2.0) * omega0(n).gram + _assemble(phi.gram, 0, 0, dual)
             lam = +1.0 if family.endswith("+") else -1.0
-            return _diag(phi.gram, (-lam if family[0] == "J" else lam) * dual)
+            return _assemble(phi.gram, 0, 0, (-lam if family[0] == "J" else lam) * dual)
     raise UnknownFamilyError(f"no closed form registered for {family!r} with {with_metric!r}")
 
 

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from .core import SKEW, SYMMETRIC, BilinearForm, BlockOperator
+from .core import SKEW, SYMMETRIC, BilinearForm, BlockOperator, _assemble
 from .errors import DimensionError
 
 
@@ -47,8 +47,7 @@ def omega0(n: int) -> BilinearForm:
 @functools.lru_cache(maxsize=64)
 def _canonical_form(n: int, kind: str) -> BilinearForm:
     half = 0.5 * np.eye(n)
-    zero = np.zeros((n, n))
-    return BilinearForm(np.block([[zero, half if kind == SYMMETRIC else -half], [half, zero]]), kind)
+    return BilinearForm(_assemble(0, half if kind == SYMMETRIC else -half, half, 0), kind)
 
 
 def f0(n: int) -> BlockOperator:

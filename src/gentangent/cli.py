@@ -44,6 +44,7 @@ from .core import (
     BilinearForm,
     BlockOperator,
     Tolerance,
+    close,
 )
 from .errors import GentangentError
 from .canonical import g0
@@ -123,15 +124,18 @@ def _read_operator(doc, n, context="operator"):
     )
 
 
-def _read_metric(doc, n):
+def _read_metric(doc, n, tol):
     if not isinstance(doc, dict):
         raise InputError("metric: expected an object with a gram matrix")
     gram = _matrix(doc, "gram", 2 * n, "metric")
-    kind = doc.get("kind", "symmetric")
-    kinds = {"symmetric": SYMMETRIC, "skew": SKEW, "general": GENERAL}
-    if kind not in kinds:
+    kind = doc.get("kind", SYMMETRIC)
+    # a tuple test, not a dict lookup: a JSON list or object is unhashable
+    if kind not in (SYMMETRIC, SKEW, GENERAL):
         raise InputError(f"metric: unknown kind {kind!r}")
-    return BilinearForm(gram, kinds[kind])
+    sign = {SYMMETRIC: +1, SKEW: -1}.get(kind)
+    if sign is not None and not close(gram, sign * gram.T, tol):
+        raise InputError(f"metric: gram declared {kind} is not {kind}")
+    return BilinearForm(gram, kind)
 
 
 def _read_base(doc, n, tol):
@@ -193,10 +197,8 @@ def _classify(doc, tol):
         }
         return out
     if "metric" in doc:
-        metric = _read_metric(doc["metric"], n)
-        out["metric"] = {"gram": metric.gram.tolist(),
-                         "kind": {SYMMETRIC: "symmetric", SKEW: "skew",
-                                  GENERAL: "general"}[metric.kind]}
+        metric = _read_metric(doc["metric"], n, tol)
+        out["metric"] = {"gram": metric.gram.tolist(), "kind": metric.kind}
         cls = classify_pair(op, metric, tol)
         out["class"] = cls.name
         if cls.name != INCOMPATIBLE:
@@ -394,7 +396,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="relative tolerance (default 1e-9)")
+                       help="absolute and relative tolerance (default 1e-9)")
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("classify", help="classify a JSON-described structure")

@@ -116,6 +116,25 @@ class GeneralizedVector:
         return self.coords[self.n :]
 
 
+def _assemble(h, sigma, tau, k) -> np.ndarray:
+    """Fresh 2n x 2n array [[h, sigma], [tau, k]] of four n x n blocks.
+
+    A block given as the scalar 0 stays zero; n is read from the first
+    block that is not.  Every other block must be an n x n matrix.
+    """
+    blocks = [None if np.ndim(b) == 0 and b == 0 else b for b in (h, sigma, tau, k)]
+    first = next((b for b in blocks if b is not None), None)
+    if first is None:
+        raise DimensionError("at least one block must be a matrix")
+    n = _as_matrix(first).shape[0]
+    m = np.zeros((2 * n, 2 * n))
+    for i, b in enumerate(blocks):
+        if b is not None:
+            row, col = divmod(i, 2)
+            m[row * n : (row + 1) * n, col * n : (col + 1) * n] = _as_matrix(b, n)
+    return m
+
+
 def _block_view(row: int, col: int) -> property:
     """Read-only view of block (row, col) of a BlockOperator's matrix."""
 
@@ -140,14 +159,7 @@ class BlockOperator:
     matrix: np.ndarray
 
     def __init__(self, H, sigma, tau, K):
-        h = _as_matrix(H)
-        n = h.shape[0]
-        m = np.empty((2 * n, 2 * n))
-        m[:n, :n] = h
-        m[:n, n:] = _as_matrix(sigma, n)
-        m[n:, :n] = _as_matrix(tau, n)
-        m[n:, n:] = _as_matrix(K, n)
-        self._freeze(m)
+        self._freeze(_assemble(H, sigma, tau, K))
 
     def _freeze(self, m: np.ndarray) -> None:
         m.flags.writeable = False

@@ -25,6 +25,7 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _assemble,
     _inverse_unless_degenerate,
     close,
     dual_map,
@@ -104,8 +105,13 @@ def diagonal_inducer(h, lam: int) -> BlockOperator:
         raise ValueError("lam must be +1 or -1")
     if is_degenerate(h):
         raise NotInjectiveError("H block is singular")
-    zero = np.zeros_like(h)
-    return BlockOperator(h, zero, zero, lam * dual_map(h))
+    return _diagonal(h, lam)
+
+
+def _diagonal(h, lam: int) -> BlockOperator:
+    """[[H, 0], [0, lam H*]], the one construction behind ``diagonal_inducer``
+    and ``ae_zoo.build_diagonal``; each checks its own preconditions first."""
+    return BlockOperator(h, 0, 0, lam * dual_map(h))
 
 
 def induced_metric(g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
@@ -120,28 +126,19 @@ def induced_metric(g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     inverse = _inverse_unless_degenerate(g.gram, tol)
     if inverse is None:
         raise DegenerateFormError("base metric is numerically degenerate")
-    zero = np.zeros((g.n, g.n))
-    return BilinearForm(np.block([[g.gram, zero], [zero, inverse]]), SYMMETRIC)
+    return BilinearForm(_assemble(g.gram, 0, 0, inverse), SYMMETRIC)
 
 
 def nannicini_metric(j, g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
-    """Metric of a Norden-style pair (J, g), assembled term by term.
+    """Metric of a Norden-style pair (J, g): Gram [[g, J.T / 2], [J / 2, sharp.T]].
 
-    Equals the form induced by the endomorphism [[J, 2 sharp], [2 flat, J*]],
-    but is built here directly from the four defining summands so the two
-    routes stay independent.
+    The closed form of the summands g(X, Y), g(JX, sharp eta) / 2,
+    g(sharp xi, JY) / 2 and g(sharp xi, sharp eta), as g sharp = I.  It is,
+    bit for bit, the form induced by [[J, 2 sharp], [2 flat, J*]]: each entry
+    of that Gram is one entry of the endomorphism times the 1/2 of G0.
     """
     j = np.asarray(j, dtype=float)
-    ident = np.eye(g.n)
-    if not close(j @ j, -ident, tol):
+    if not close(j @ j, -np.eye(g.n), tol):
         raise NotComplexError("J does not square to -I")
-    flat, sharp = musicals(g, tol)
-    gm = g.gram
-    # summands: g(X, Y), g(JX, sharp eta)/2, g(sharp xi, JY)/2, g(sharp xi, sharp eta)
-    top_left = gm
-    top_right = 0.5 * j.T @ gm @ sharp
-    bottom_left = 0.5 * sharp.T @ gm @ j
-    bottom_right = sharp.T @ gm @ sharp
-    return BilinearForm(
-        np.block([[top_left, top_right], [bottom_left, bottom_right]]), SYMMETRIC
-    )
+    _, sharp = musicals(g, tol)
+    return BilinearForm(_assemble(g.gram, 0.5 * j.T, 0.5 * j, sharp.T), SYMMETRIC)

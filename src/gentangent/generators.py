@@ -35,23 +35,19 @@ import math
 
 import numpy as np
 
-from .ae_zoo import AeManifoldData
-from .core import _UNIT_ROUNDOFF, SKEW, SYMMETRIC, BaseForm
+from .ae_zoo import (
+    HERMITIAN,
+    INDEFINITE_HERMITIAN,
+    NORDEN,
+    PARA_HERMITIAN,
+    PRODUCT_RIEMANNIAN,
+    AeManifoldData,
+)
+from .core import _UNIT_ROUNDOFF, SKEW, SYMMETRIC, BaseForm, _assemble
 from .errors import DimensionError
 
-HERMITIAN_KIND = "Hermitian"
-INDEFINITE_HERMITIAN_KIND = "IndefiniteHermitian"
-NORDEN_KIND = "Norden"
-PARA_HERMITIAN_KIND = "ParaHermitian"
-PRODUCT_RIEMANNIAN_KIND = "ProductRiemannian"
-
-AE_KINDS = (
-    HERMITIAN_KIND,
-    INDEFINITE_HERMITIAN_KIND,
-    NORDEN_KIND,
-    PARA_HERMITIAN_KIND,
-    PRODUCT_RIEMANNIAN_KIND,
-)
+# the kinds of (J, g) model pair, named as the families they belong to
+AE_KINDS = (HERMITIAN, INDEFINITE_HERMITIAN, NORDEN, PARA_HERMITIAN, PRODUCT_RIEMANNIAN)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -214,7 +210,7 @@ def fixture_dim(n: int, kind: str | None = None) -> int:
     rounded up; indefinite Hermitian data (``kind``) is always drawn at 4,
     the least dimension it exists in.
     """
-    if kind == INDEFINITE_HERMITIAN_KIND:
+    if kind == INDEFINITE_HERMITIAN:
         return 4
     return n + n % 2
 
@@ -235,11 +231,14 @@ def random_symplectic(n: int, seed: int) -> BaseForm:
         raise DimensionError("no nondegenerate skew form exists in odd dimension")
     rng = SplitMix64(seed)
     p = random_invertible(n, rng)
+    # the transpose, not the negation, keeps the zero blocks free of -0.0
+    return BaseForm(p.T @ _standard_complex(n).T @ p, SKEW)
+
+
+def _standard_complex(n: int) -> np.ndarray:
+    """The standard complex structure [[0, -I], [I, 0]] on R^n, n even."""
     m = n // 2
-    omega = np.block(
-        [[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]]
-    )
-    return BaseForm(p.T @ omega @ p, SKEW)
+    return _assemble(0, -np.eye(m), np.eye(m), 0)
 
 
 def _frozen(j, g, alpha, eps):
@@ -253,32 +252,26 @@ def _frozen(j, g, alpha, eps):
 def _model_pair(kind: str, n: int):
     """Exactly compatible (J, g, alpha, eps) on the standard fiber, read-only."""
     m = n // 2
-    if kind == HERMITIAN_KIND:
+    if kind == HERMITIAN:
         if n % 2 != 0:
             raise DimensionError("Hermitian data needs even dimension")
-        j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
-        return _frozen(j, np.eye(n), -1, +1)
-    if kind == INDEFINITE_HERMITIAN_KIND:
+        return _frozen(_standard_complex(n), np.eye(n), -1, +1)
+    if kind == INDEFINITE_HERMITIAN:
         if n % 4 != 0:
             # the invariant metric splits J-stable planes, forcing even r and s
             raise DimensionError("indefinite Hermitian data needs dimension divisible by 4")
-        j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
         a = np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(m)])
-        g = np.block([[a, np.zeros((m, m))], [np.zeros((m, m)), a]])
-        return _frozen(j, g, -1, +1)
-    if kind == NORDEN_KIND:
+        return _frozen(_standard_complex(n), _assemble(a, 0, 0, a), -1, +1)
+    if kind == NORDEN:
         if n % 2 != 0:
             raise DimensionError("Norden data needs even dimension")
-        j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
-        g = np.block([[np.eye(m), np.zeros((m, m))], [np.zeros((m, m)), -np.eye(m)]])
-        return _frozen(j, g, -1, -1)
-    if kind == PARA_HERMITIAN_KIND:
+        return _frozen(_standard_complex(n), _assemble(np.eye(m), 0, 0, -np.eye(m)), -1, -1)
+    if kind == PARA_HERMITIAN:
         if n % 2 != 0:
             raise DimensionError("para-Hermitian data needs even dimension")
-        f = np.block([[np.eye(m), np.zeros((m, m))], [np.zeros((m, m)), -np.eye(m)]])
-        g = np.block([[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]])
-        return _frozen(f, g, +1, -1)
-    if kind == PRODUCT_RIEMANNIAN_KIND:
+        f = _assemble(np.eye(m), 0, 0, -np.eye(m))
+        return _frozen(f, _assemble(0, np.eye(m), np.eye(m), 0), +1, -1)
+    if kind == PRODUCT_RIEMANNIAN:
         if n < 2:
             raise DimensionError("product data needs dimension at least 2")
         q = n // 2
@@ -300,10 +293,7 @@ def random_kahler_data(n: int, seed: int, max_condition: float = 50.0):
     rng = SplitMix64(seed)
     p = random_invertible(n, rng, max_condition)
     g = BaseForm(p.T @ p, SYMMETRIC)
-    m = n // 2
-    j_model = np.block(
-        [[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]]
-    )
+    j_model = _standard_complex(n)
     p_inv = np.linalg.inv(p)
 
     def iso_complex():

@@ -19,8 +19,10 @@ from .ae_zoo import (
     FAMILY_BASE_KIND,
     HERMITIAN,
     INCOMPATIBLE,
+    INDEFINITE_HERMITIAN,
     NORDEN,
     PARA_HERMITIAN,
+    PRODUCT_RIEMANNIAN,
     base_fundamental,
     build_diagonal,
     build_family,
@@ -82,8 +84,8 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _check_flat_sharp(n, trials, seed, tol):
-    kinds = ("Hermitian", "Norden", "ParaHermitian", "ProductRiemannian",
-             "IndefiniteHermitian")
+    kinds = (HERMITIAN, NORDEN, PARA_HERMITIAN, PRODUCT_RIEMANNIAN,
+             INDEFINITE_HERMITIAN)
     failures = 0
     max_res = 0.0
     for t in range(trials):
@@ -196,20 +198,20 @@ def _check_jg_g0_norden(n, trials, seed, tol):
 # must come out Incompatible), against the canonical metric G0 or against
 # the induced metric Gg of the base data.
 _TRIANGULAR_CELLS = (
-    ("JJgFlat", "Hermitian", "Norden"),
-    ("JJgSharp", "Hermitian", "Norden"),
-    ("FFgFlat", "ParaHermitian", "ProductRiemannian"),
-    ("FFgSharp", "ParaHermitian", "ProductRiemannian"),
+    ("JJgFlat", HERMITIAN, NORDEN),
+    ("JJgSharp", HERMITIAN, NORDEN),
+    ("FFgFlat", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
+    ("FFgSharp", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
 )
 
 _MIXED_CELLS_G0 = (
-    ("FJg", "Hermitian", "Norden"),
-    ("JFg", "ParaHermitian", "ProductRiemannian"),
+    ("FJg", HERMITIAN, NORDEN),
+    ("JFg", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
 )
 
 _MIXED_CELLS_GG = (
-    ("FJg", "Norden", "Hermitian"),
-    ("JFg", "ParaHermitian", "ProductRiemannian"),
+    ("FJg", NORDEN, HERMITIAN),
+    ("JFg", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
 )
 
 
@@ -276,10 +278,9 @@ def _check_f0_commutation(n, trials, seed, tol):
     max_res = 0.0
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
-        zero = np.zeros((n, n))
         a, b = rng.matrix(n, n), rng.matrix(n, n)
-        commuting = BlockOperator(a, zero, zero, b)
-        anti = BlockOperator(zero, a, b, zero)
+        commuting = BlockOperator(a, 0, 0, b)
+        anti = BlockOperator(0, a, b, 0)
         generic = BlockOperator(a, b, rng.matrix(n, n), rng.matrix(n, n))
         fm = f0(n).assemble()
         for op, want in ((commuting, triples.COMMUTES),
@@ -297,7 +298,7 @@ def _check_f0_commutation(n, trials, seed, tol):
 
 
 def _triple_data_kind(name):
-    return "Hermitian" if triples._TRIPLE_RECIPES[name][0] == -1 else "ParaHermitian"
+    return HERMITIAN if triples._TRIPLE_RECIPES[name][0] == -1 else PARA_HERMITIAN
 
 
 def _check_canonical_triples(n, trials, seed, tol):
@@ -321,8 +322,8 @@ def _check_canonical_triples(n, trials, seed, tol):
 
 
 def _check_mixed_decomposition(alpha, n, trials, seed, tol):
-    kinds = ("Hermitian", "Norden") if alpha == -1 else (
-        "ParaHermitian", "ProductRiemannian")
+    kinds = (HERMITIAN, NORDEN) if alpha == -1 else (
+        PARA_HERMITIAN, PRODUCT_RIEMANNIAN)
     failures = 0
     max_res = 0.0
     for t in range(trials):
@@ -344,7 +345,7 @@ def _check_combine_law(n, trials, seed, tol):
     max_res = 0.0
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
-        data = random_ae_pair("Hermitian", fixture_dim(n), _trial_seed(seed, t) + 1)
+        data = random_ae_pair(HERMITIAN, fixture_dim(n), _trial_seed(seed, t) + 1)
         triple = triples.canonical_triple("biparaC", data, tol)
         a, b, c = (2.0 * rng.symmetric_uniform() for _ in range(3))
         combo, _ = triples.combine(a, b, c, triple, tol)
@@ -363,7 +364,7 @@ def _check_combine_law(n, trials, seed, tol):
 def _check_kahler_example(n, trials, seed, tol):
     failures = 0
     for t in range(trials):
-        data = random_ae_pair("Hermitian", fixture_dim(n), _trial_seed(seed, t))
+        data = random_ae_pair(HERMITIAN, fixture_dim(n), _trial_seed(seed, t))
         phi = base_fundamental(data)
         j_phi = build_musical(phi, -1, tol)
         j_minus = build_diagonal(data.J, -1, tol)
@@ -395,7 +396,7 @@ def _check_base_extraction(n, trials, seed, tol):
     for t in range(trials):
         s = _trial_seed(seed, t)
         om = random_symplectic(m, s)
-        data = random_ae_pair("Hermitian", m, s + 1)
+        data = random_ae_pair(HERMITIAN, m, s + 1)
         for op in (build_family("Jom", om, tol),
                    build_diagonal(data.J, -1, tol)):
             j = extract_base_complex(op, tol)

@@ -19,6 +19,7 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _assemble,
     close,
     dual_map,
     musicals,
@@ -260,8 +261,8 @@ class KahlerData:
 
 
 def _shear(sigma: np.ndarray) -> np.ndarray:
-    n = sigma.shape[0]
-    return np.block([[np.eye(n), np.zeros((n, n))], [sigma, np.eye(n)]])
+    ident = np.eye(sigma.shape[0])
+    return _assemble(ident, 0, sigma, ident)
 
 
 def _sigma_matrix(b: np.ndarray) -> np.ndarray:
@@ -290,11 +291,11 @@ def kahler_from_data(kd: KahlerData, tol: Tolerance = DEFAULT_TOL):
     unshear = _shear(-sigma)
     out = []
     for sign in (+1, -1):
-        core = np.block(
-            [
-                [kd.J1 + sign * kd.J2, -(sharps[0] - sign * sharps[1])],
-                [flats[0] - sign * flats[1], -(dual_map(kd.J1) + sign * dual_map(kd.J2))],
-            ]
+        core = _assemble(
+            kd.J1 + sign * kd.J2,
+            -(sharps[0] - sign * sharps[1]),
+            flats[0] - sign * flats[1],
+            -(dual_map(kd.J1) + sign * dual_map(kd.J2)),
         )
         out.append(BlockOperator.from_matrix(0.5 * shear @ core @ unshear))
     return out[0], out[1]

@@ -329,3 +329,41 @@ def test_classify_singular_base_metric_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["classify"], json.dumps(doc))
     assert code == 2
     assert err == "error: base form is numerically degenerate\n"
+
+
+def _metric_doc(h, gram, kind):
+    return json.dumps({"n": 1, "operator": {"H": [[h]], "sigma": [[0]], "tau": [[0]],
+                                            "K": [[1]]},
+                       "metric": {"gram": gram, "kind": kind}})
+
+
+@pytest.mark.parametrize("kind", [[1], {"a": 1}, "hermitian", None])
+def test_classify_metric_kind_not_a_known_name_exits_2(capsys, monkeypatch, kind):
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                             _metric_doc(1, [[0, 1], [1, 0]], kind))
+    assert code == 2
+    assert "metric: unknown kind" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind, gram", [("symmetric", [[0, 1], [5, 0]]),
+                                        ("skew", [[0, 1], [1, 0]]),
+                                        ("skew", [[1, 1], [-1, 0]])])
+def test_classify_metric_gram_not_of_its_declared_kind_exits_2(capsys, monkeypatch,
+                                                               kind, gram):
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                             _metric_doc(-1, gram, kind))
+    assert code == 2
+    assert f"gram declared {kind} is not {kind}" in err
+    assert out == ""
+
+
+def test_classify_metric_gram_of_its_declared_kind_is_read(capsys, monkeypatch):
+    # the identity operator is no structure, so the pair comes out Incompatible
+    # whatever the kind of the metric
+    for kind, gram in (("symmetric", [[0, 1], [1, 0]]), ("skew", [[0, 1], [-1, 0]]),
+                       ("general", [[0, 1], [5, 0]])):
+        code, out, _ = run_cli(capsys, monkeypatch, ["classify", "-", "--format", "json"],
+                               _metric_doc(1, gram, kind))
+        assert code == 0
+        assert json.loads(out)["metric"] == {"gram": gram, "kind": kind}

@@ -85,6 +85,23 @@ def test_block_operator_stores_one_matrix():
     assert np.array_equal(op.H, before)
 
 
+def test_block_operator_zero_blocks_and_sizes():
+    rng = gt.SplitMix64(11)
+    s, t = rng.matrix(3, 3), rng.matrix(3, 3)
+    op = gt.BlockOperator(0, s, t, 0)
+    assert np.array_equal(op.matrix, np.block([[np.zeros((3, 3)), s], [t, np.zeros((3, 3))]]))
+    # a zero block is +0.0, with no sign bit set
+    assert not np.signbit(op.H).any() and not np.signbit(op.K).any()
+    with pytest.raises(gt.DimensionError, match="at least one block"):
+        gt.BlockOperator(0, 0, 0, 0)
+    with pytest.raises(gt.DimensionError, match="expected a 3x3 matrix, got 2x2"):
+        gt.BlockOperator(0, s, np.eye(2), 0)
+    with pytest.raises(gt.DimensionError, match="square"):
+        gt.BlockOperator(np.ones((3, 2)), s, t, s)
+    with pytest.raises(gt.DimensionError, match="square"):
+        gt.BlockOperator(1.0, s, t, s)
+
+
 def test_block_operator_is_read_only():
     op = gt.BlockOperator.from_matrix(gt.SplitMix64(8).matrix(4, 4))
     for name in ("H", "sigma", "tau", "K"):

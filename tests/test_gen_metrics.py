@@ -124,18 +124,38 @@ def test_induced_metric_signature():
             assert gt.signature(gt.induced_metric(g)) == (2 * r, 2 * s)
 
 
+def _nannicini_by_terms(j, g):
+    """Oracle: the Nannicini Gram from its four defining summands,
+    g(X, Y), g(JX, sharp eta) / 2, g(sharp xi, JY) / 2 and g(sharp xi, sharp eta)."""
+    gm = g.gram
+    sharp = np.linalg.inv(gm.T)
+    return np.block([[gm, 0.5 * j.T @ gm @ sharp],
+                     [0.5 * sharp.T @ gm @ j, sharp.T @ gm @ sharp]])
+
+
 def test_nannicini_metric_matches_inducer_route():
-    """Term-by-term assembly must equal the induced form of its endomorphism."""
+    """The closed form is the induced form of [[J, 2 sharp], [2 flat, J*]], bit for bit."""
+    for kind in ("Hermitian", "Norden"):
+        for seed in range(100):
+            data = gt.random_ae_pair(kind, 8, seed)
+            direct = gt.nannicini_metric(data.J, data.g)
+            flat, sharp = gt.musicals(data.g)
+            op = gt.BlockOperator(data.J, 2.0 * sharp, 2.0 * np.asarray(flat), data.J.T)
+            induced, report = gt.metric_from_endomorphism(op)
+            assert report.valid
+            assert direct.kind == gt.SYMMETRIC
+            assert np.array_equal(direct.gram, induced.gram)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["Hermitian", "Norden"])
+def test_nannicini_metric_matches_term_by_term_oracle(kind, n):
     for seed in range(20):
-        data = gt.random_ae_pair("Hermitian", 4, seed)
-        direct = gt.nannicini_metric(data.J, data.g)
-        flat, sharp = gt.musicals(data.g)
-        op = gt.BlockOperator(data.J, 2.0 * sharp, 2.0 * np.asarray(flat), data.J.T)
-        induced, report = gt.metric_from_endomorphism(op)
-        assert report.valid
-        assert np.linalg.norm(direct.gram - induced.gram) <= 1e-9 * max(
-            1.0, np.linalg.norm(induced.gram))
-        assert np.allclose(direct.gram, direct.gram.T)
+        data = gt.random_ae_pair(kind, n, seed)
+        direct = gt.nannicini_metric(data.J, data.g).gram
+        assert np.linalg.norm(direct - _nannicini_by_terms(data.J, data.g)) <= (
+            1e-12 * np.linalg.norm(direct))
+        assert np.allclose(direct, direct.T, rtol=0, atol=1e-12 * np.linalg.norm(direct))
 
 
 def test_nannicini_metric_rejects_non_complex_j():

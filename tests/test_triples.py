@@ -177,3 +177,15 @@ def test_kahler_roundtrip():
         for seed in range(15):
             kd = gt.random_kahler_data(n, 100 * n + seed)
             assert gt.kahler_roundtrip(kd, tol)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the fixed rank test "
+                   "sigma_min <= 1e-8 sigma_max calls the positive definite "
+                   "metric of one draw (cond 1.1e8) NotInjective")
+def test_known_defect_kahler_roundtrip_rank_floor():
+    # Trial 67 of this batch: is_almost_kahler rejects the pair, so the round
+    # trip fails.  A condition-aware margin (ROADMAP item 1) should pass it;
+    # the check's 1e-8 floor is not the cause and stays as it is.
+    from gentangent import registry
+
+    assert registry.run_check("T5.kahler-roundtrip", 3, 100, 2036071567).failures == 0
