@@ -122,6 +122,9 @@ def classify_pair(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFA
     eps = isometry_sign(op, metric, tol)
     if eps is None:
         return StructureClass(INCOMPATIBLE)
+    if metric.kind != SYMMETRIC:
+        raise ValueError("the (alpha, epsilon) table needs a symmetric metric, "
+                         f"not a {metric.kind} one")
     sig = signature(metric, tol)
     riemannian = sig[1] == 0
     alpha = pc.alpha

@@ -279,8 +279,13 @@ def cmd_verify(args) -> int:
                 print(f"  {known:24s} {registry.describe(known)}",
                       file=sys.stderr)
             return 2
-    reports = [registry.run_check(pid, args.dim, args.trials, args.seed, tol)
-               for pid in ids]
+    reports = []
+    for pid in ids:
+        try:
+            reports.append(registry.run_check(pid, args.dim, args.trials, args.seed, tol))
+        except (GentangentError, ValueError) as exc:
+            print(f"error: {pid}: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps([
             {"id": r.id, "trials": r.trials, "failures": r.failures,

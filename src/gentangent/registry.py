@@ -1,11 +1,13 @@
 """Named proposition checks, each runnable over seeded batches.
 
-Every entry maps a stable string id to a check function with signature
-``check(n, trials, seed, tol) -> (trials_run, failures, max_residual)``.
-A check draws its own fixtures from seeded generators, so a (dim, trials,
-seed, tol) quadruple pins the run down completely.  Checks that need even
-or divisible dimensions round the requested dimension up; checks over a
-finite case table ignore ``trials`` and report the table size instead.
+Every entry maps a stable string id to a check: a generator
+``check(n, trials, seed, tol)`` that yields one ``(failures, residual)`` pair
+per case, where ``failures`` counts the conditions the case broke.
+``run_check`` is the one place where cases, failures and the largest residual
+are added up.  A check draws its own fixtures from seeded generators, so a
+(dim, trials, seed, tol) quadruple pins the run down completely.  Checks that
+need even or divisible dimensions round the requested dimension up; checks
+over a finite case table ignore ``trials`` and yield one case per table row.
 """
 
 import time
@@ -86,18 +88,12 @@ def _trial_seed(seed: int, trial: int) -> int:
 def _check_flat_sharp(n, trials, seed, tol):
     kinds = (HERMITIAN, NORDEN, PARA_HERMITIAN, PRODUCT_RIEMANNIAN,
              INDEFINITE_HERMITIAN)
-    failures = 0
-    max_res = 0.0
     for t in range(trials):
         kind = kinds[t % len(kinds)]
-        m = fixture_dim(n, kind)
-        data = random_ae_pair(kind, m, _trial_seed(seed, t))
-        if not check_flat_sharp_identities(data, tol):
-            failures += 1
-        flat_g = data.g.gram.T
+        data = random_ae_pair(kind, fixture_dim(n, kind), _trial_seed(seed, t))
+        failed = not check_flat_sharp_identities(data, tol)
         flat_phi = base_fundamental(data).gram.T
-        max_res = max(max_res, _residual(flat_phi, flat_g @ data.J))
-    return trials, failures, max_res
+        yield failed, _residual(flat_phi, data.g.gram.T @ data.J)
 
 
 def _random_inducer(n, rng, symplectic=False):
@@ -109,89 +105,64 @@ def _random_inducer(n, rng, symplectic=False):
     return BlockOperator(h, s + s.T, t + t.T, dual_map(h))
 
 
+def _random_signature_metric(n, seed):
+    """A metric on R^n whose signature is drawn from the seed."""
+    r = int(SplitMix64(seed).uniform() * (n + 1))
+    return random_metric(n, r, n - r, seed + 1)
+
+
 def _check_metric_char(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
         op = _random_inducer(n, rng)
         form, report = metric_from_endomorphism(op, tol)
         ok = report.valid and form.kind == SYMMETRIC
         ok = ok and close(form.gram, form.gram.T, tol)
-        back = endomorphism_from_metric(form, tol)
-        res = _residual(back.assemble(), op.assemble())
-        max_res = max(max_res, res)
-        if not (ok and close(back.assemble(), op.assemble(), tol)):
-            failures += 1
-    return trials, failures, max_res
+        back = endomorphism_from_metric(form, tol).assemble()
+        yield (not (ok and close(back, op.assemble(), tol)),
+               _residual(back, op.assemble()))
 
 
 def _check_symplectic_char(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
         op = _random_inducer(n, rng, symplectic=True)
         form, report = symplectic_from_endomorphism(op, tol)
-        res = _residual(form.gram, -form.gram.T)
-        max_res = max(max_res, res)
-        if not (report.valid and form.kind == SKEW
-                and close(form.gram, -form.gram.T, tol)):
-            failures += 1
+        failed = not (report.valid and form.kind == SKEW
+                      and close(form.gram, -form.gram.T, tol))
         # breaking one condition must be reported
         broken = BlockOperator(op.H, op.sigma + np.eye(n), op.tau, op.K)
         _, bad = symplectic_from_endomorphism(broken, tol)
-        if bad.valid:
-            failures += 1
-    return trials, failures, max_res
+        yield failed + bad.valid, _residual(form.gram, -form.gram.T)
+
+
+_SIGNATURES = tuple((r, s) for r in range(7) for s in range(7 - r) if r + s)
 
 
 def _check_signature(n, trials, seed, tol):
-    cases = failures = 0
-    max_res = 0.0
-    for r in range(0, 7):
-        for s in range(0, 7 - r):
-            if r + s == 0:
-                continue
-            cases += 1
-            g = random_metric(r + s, r, s, _trial_seed(seed, cases))
-            got = signature(induced_metric(g, tol), tol)
-            if got != (2 * r, 2 * s):
-                failures += 1
-                max_res = max(max_res, 1.0)
-    return cases, failures, max_res
+    for case, (r, s) in enumerate(_SIGNATURES, 1):
+        g = random_metric(r + s, r, s, _trial_seed(seed, case))
+        failed = signature(induced_metric(g, tol), tol) != (2 * r, 2 * s)
+        yield failed, float(failed)
 
 
 def _check_canonical_pair(n, trials, seed, tol):
-    cases = failures = 0
-    max_res = 0.0
     for m in range(1, 7):
-        cases += 1
         gm0, om0, ff0 = g0(m), omega0(m), f0(m)
         res = _residual(om0.gram, ff0.assemble().T @ gm0.gram)
-        max_res = max(max_res, res)
         cls = classify_pair(ff0, gm0, tol)
-        if res > tol.abs + tol.rel or cls.name != PARA_HERMITIAN:
-            failures += 1
-        if signature(gm0, tol) != (m, m):
-            failures += 1
-    return cases, failures, max_res
+        yield ((res > tol.abs + tol.rel or cls.name != PARA_HERMITIAN)
+               + (signature(gm0, tol) != (m, m))), res
 
 
 def _check_jg_g0_norden(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
     for t in range(trials):
-        rng = SplitMix64(_trial_seed(seed, t))
-        r = int(rng.uniform() * (n + 1))
-        g = random_metric(n, r, n - r, _trial_seed(seed, t) + 1)
+        g = _random_signature_metric(n, _trial_seed(seed, t))
         op = build_family("Jg", g, tol)
         cls = classify_pair(op, g0(n), tol)
         sq = op.assemble() @ op.assemble()
-        max_res = max(max_res, _residual(sq, -np.eye(2 * n)))
-        if cls.name != NORDEN or cls.alpha != -1 or cls.epsilon != -1:
-            failures += 1
-    return trials, failures, max_res
+        yield ((cls.name, cls.alpha, cls.epsilon) != (NORDEN, -1, -1),
+               _residual(sq, -np.eye(2 * n)))
 
 
 # Compatibility tables: family id -> (data kind that fits, data kind that
@@ -215,8 +186,7 @@ _MIXED_CELLS_GG = (
 )
 
 
-def _iff_failures(cells, against_g0, n, trials, seed, tol):
-    failures = 0
+def _iff_cases(cells, against_g0, n, trials, seed, tol):
     for t in range(trials):
         for i, (fam, good_kind, bad_kind) in enumerate(cells):
             s = _trial_seed(seed, t * len(cells) + i)
@@ -225,22 +195,17 @@ def _iff_failures(cells, against_g0, n, trials, seed, tol):
             for data, want_ok in ((good, True), (bad, False)):
                 op = build_family(fam, data, tol)
                 metric = g0(data.n) if against_g0 else induced_metric(data.g, tol)
-                cls = classify_pair(op, metric, tol)
-                if (cls.name != INCOMPATIBLE) != want_ok:
-                    failures += 1
-    return failures
+                failed = (classify_pair(op, metric, tol).name != INCOMPATIBLE) != want_ok
+                yield failed, float(failed)
 
 
 def _check_triangular_iff(n, trials, seed, tol):
-    failures = _iff_failures(_TRIANGULAR_CELLS, True, n, trials, seed, tol)
-    return trials * len(_TRIANGULAR_CELLS) * 2, failures, float(failures > 0)
+    yield from _iff_cases(_TRIANGULAR_CELLS, True, n, trials, seed, tol)
 
 
 def _check_mixed_iff(n, trials, seed, tol):
-    failures = _iff_failures(_MIXED_CELLS_G0, True, n, trials, seed, tol)
-    failures += _iff_failures(_MIXED_CELLS_GG, False, n, trials, seed, tol)
-    cases = trials * (len(_MIXED_CELLS_G0) + len(_MIXED_CELLS_GG)) * 2
-    return cases, failures, float(failures > 0)
+    yield from _iff_cases(_MIXED_CELLS_G0, True, n, trials, seed, tol)
+    yield from _iff_cases(_MIXED_CELLS_GG, False, n, trials, seed, tol)
 
 
 # Base data that satisfies each closed twin formula: the family's default
@@ -249,83 +214,66 @@ _TWIN_DATA_KIND_G0 = dict(FAMILY_BASE_KIND, Jphi=HERMITIAN, Fphi=PARA_HERMITIAN)
 _TWIN_DATA_KIND_GG = dict(_TWIN_DATA_KIND_G0, FJg=NORDEN)
 
 
-def _twin_data(family, n, seed, tol):
+def _twin_data(family, n, seed):
     op_id, metric_id = family.split("@")
     table = _TWIN_DATA_KIND_G0 if metric_id == "G0" else _TWIN_DATA_KIND_GG
     kind = table[op_id]
     if kind == "metric":
-        rng = SplitMix64(seed)
-        r = int(rng.uniform() * (n + 1))
-        return random_metric(n, r, n - r, seed + 1)
+        return _random_signature_metric(n, seed)
     if kind == "symplectic":
         return random_symplectic(fixture_dim(n), seed)
     return random_ae_pair(kind, fixture_dim(n), seed)
 
 
 def _check_twin_metrics(n, trials, seed, tol):
-    failures = 0
     families = ae_zoo.TWIN_FORMULA_FAMILIES
     for t in range(trials):
         for i, fam in enumerate(families):
-            data = _twin_data(fam, n, _trial_seed(seed, t * len(families) + i), tol)
-            if not twin_formula_check(fam, data, tol):
-                failures += 1
-    return trials * len(families), failures, float(failures > 0)
+            data = _twin_data(fam, n, _trial_seed(seed, t * len(families) + i))
+            failed = not twin_formula_check(fam, data, tol)
+            yield failed, float(failed)
 
 
 def _check_f0_commutation(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
+    fm = f0(n).assemble()
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
         a, b = rng.matrix(n, n), rng.matrix(n, n)
-        commuting = BlockOperator(a, 0, 0, b)
-        anti = BlockOperator(0, a, b, 0)
         generic = BlockOperator(a, b, rng.matrix(n, n), rng.matrix(n, n))
-        fm = f0(n).assemble()
-        for op, want in ((commuting, triples.COMMUTES),
-                         (anti, triples.ANTI_COMMUTES),
-                         (generic, triples.NEITHER_COMMUTATION)):
-            got = triples.f0_commutation(op, tol)
+        # sign s: the residual is |F0 M - s M F0|, none for a generic M
+        for op, want, s in ((BlockOperator(a, 0, 0, b), triples.COMMUTES, 1),
+                            (BlockOperator(0, a, b, 0), triples.ANTI_COMMUTES, -1),
+                            (generic, triples.NEITHER_COMMUTATION, None)):
             m = op.assemble()
-            res = (np.linalg.norm(fm @ m - m @ fm) if want == triples.COMMUTES
-                   else np.linalg.norm(fm @ m + m @ fm)
-                   if want == triples.ANTI_COMMUTES else 0.0)
-            max_res = max(max_res, float(res))
-            if got != want:
-                failures += 1
-    return trials * 3, failures, max_res
+            res = 0.0 if s is None else _residual(fm @ m, s * (m @ fm))
+            yield triples.f0_commutation(op, tol) != want, res
 
 
-def _triple_data_kind(name):
-    return HERMITIAN if triples._TRIPLE_RECIPES[name][0] == -1 else PARA_HERMITIAN
+# base kind of the (J, g) data each named triple is built from, by its alpha
+_ALPHA_BASE_KIND = {alpha: kind for kind, alpha in ae_zoo._BASE_KIND_ALPHA.items()}
 
 
 def _check_canonical_triples(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
     names = triples.TRIPLE_NAMES
     for t in range(trials):
         for i, name in enumerate(names):
-            data = random_ae_pair(_triple_data_kind(name), fixture_dim(n),
+            kind = _ALPHA_BASE_KIND[triples._TRIPLE_RECIPES[name][0]]
+            data = random_ae_pair(kind, fixture_dim(n),
                                   _trial_seed(seed, t * len(names) + i))
             first, second, third = triples.canonical_triple(name, data, tol)
             report = triples.classify_triple(first, second, tol)
-            product = report.product.assemble()
-            res = _residual(product, third.assemble())
-            max_res = max(max_res, res)
-            if report.kind != triples.expected_triple_kind(name):
-                failures += 1
-            elif not close(product, third.assemble(), tol):
-                failures += 1
-    return trials * len(names), failures, max_res
+            if report.kind == triples.NO_TRIPLE:
+                # no product to compare: one failure, no residual
+                yield 1, 0.0
+                continue
+            product, want = report.product.assemble(), third.assemble()
+            yield (report.kind != triples.expected_triple_kind(name)
+                   or not close(product, want, tol)), _residual(product, want)
 
 
 def _check_mixed_decomposition(alpha, n, trials, seed, tol):
     kinds = (HERMITIAN, NORDEN) if alpha == -1 else (
         PARA_HERMITIAN, PRODUCT_RIEMANNIAN)
-    failures = 0
-    max_res = 0.0
     for t in range(trials):
         data = random_ae_pair(kinds[t % 2], fixture_dim(n), _trial_seed(seed, t))
         mixed = build_mixed(data, tol).assemble()
@@ -333,16 +281,10 @@ def _check_mixed_decomposition(alpha, n, trials, seed, tol):
         lam = data.epsilon if alpha == -1 else -data.epsilon
         expected = np.sqrt(2.0) * musical.assemble() + build_diagonal(
             data.J, lam, tol).assemble()
-        res = _residual(mixed, expected)
-        max_res = max(max_res, res)
-        if not close(mixed, expected, tol):
-            failures += 1
-    return trials, failures, max_res
+        yield not close(mixed, expected, tol), _residual(mixed, expected)
 
 
 def _check_combine_law(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
         data = random_ae_pair(HERMITIAN, fixture_dim(n), _trial_seed(seed, t) + 1)
@@ -352,45 +294,35 @@ def _check_combine_law(n, trials, seed, tol):
         m = combo.assemble()
         expected = (a * a + b * b - c * c) * np.eye(2 * data.n)
         res = _residual(m @ m, expected)
-        max_res = max(max_res, res)
         # roundoff in m @ m scales with |m|^2, not with the possibly tiny
         # right-hand side, so compare at that scale
         scale = max(1.0, float(np.linalg.norm(m)) ** 2)
-        if res > tol.abs + tol.rel * scale:
-            failures += 1
-    return trials, failures, max_res
+        yield res > tol.abs + tol.rel * scale, res
 
 
 def _check_kahler_example(n, trials, seed, tol):
-    failures = 0
     for t in range(trials):
         data = random_ae_pair(HERMITIAN, fixture_dim(n), _trial_seed(seed, t))
         phi = base_fundamental(data)
         j_phi = build_musical(phi, -1, tol)
         j_minus = build_diagonal(data.J, -1, tol)
         j_plus = build_diagonal(data.J, +1, tol)
-        if not triples.is_almost_kahler(j_phi, j_minus, tol)[0]:
-            failures += 1
-        if triples.is_almost_kahler(j_plus, j_minus, tol)[0]:
-            failures += 1
-    return trials * 2, failures, float(failures > 0)
+        for j, want in ((j_phi, True), (j_plus, False)):
+            failed = triples.is_almost_kahler(j, j_minus, tol)[0] != want
+            yield failed, float(failed)
 
 
 def _check_kahler_roundtrip(n, trials, seed, tol):
     # the recovery threads through shears and matrix inverses, so the
     # per-entry tolerance floors at 1e-8
     eff = Tolerance(max(tol.abs, 1e-8), max(tol.rel, 1e-8))
-    failures = 0
     for t in range(trials):
         kd = random_kahler_data(fixture_dim(n), _trial_seed(seed, t))
-        if not triples.kahler_roundtrip(kd, eff):
-            failures += 1
-    return trials, failures, float(failures > 0)
+        failed = not triples.kahler_roundtrip(kd, eff)
+        yield failed, float(failed)
 
 
 def _check_base_extraction(n, trials, seed, tol):
-    failures = 0
-    max_res = 0.0
     m = fixture_dim(n)
     ident = np.eye(m)
     for t in range(trials):
@@ -401,10 +333,7 @@ def _check_base_extraction(n, trials, seed, tol):
                    build_diagonal(data.J, -1, tol)):
             j = extract_base_complex(op, tol)
             res = _residual(j @ j, -ident)
-            max_res = max(max_res, res)
-            if res > 1e-8:
-                failures += 1
-    return trials * 2, failures, max_res
+            yield res > 1e-8, res
 
 
 _REGISTRY = {
@@ -470,15 +399,24 @@ def describe(prop_id: str) -> str:
 
 def run_check(prop_id: str, n: int = 3, trials: int = 100, seed: int = 42,
               tol: Tolerance = DEFAULT_TOL) -> VerifyReport:
-    """Run one registered proposition check over a seeded batch."""
+    """Run one registered proposition check over a seeded batch.
+
+    The one reduction of a check's cases: it counts them, adds up their
+    failures and keeps the largest residual.
+    """
     if prop_id not in _REGISTRY:
         raise UnknownFamilyError(
             f"unknown proposition id {prop_id!r}; known: {REGISTRY_IDS}")
     _, check = _REGISTRY[prop_id]
     start = time.perf_counter()
-    trials_run, failures, max_res = check(n, trials, seed, tol)
+    cases = failures = 0
+    max_res = 0.0
+    for case_failures, res in check(n, trials, seed, tol):
+        cases += 1
+        failures += case_failures
+        max_res = max(max_res, res)
     elapsed = time.perf_counter() - start
-    return VerifyReport(prop_id, trials_run, failures, max_res, elapsed)
+    return VerifyReport(prop_id, cases, failures, max_res, elapsed)
 
 
 def run_all(n: int = 3, trials: int = 100, seed: int = 42,

@@ -367,3 +367,36 @@ def test_classify_metric_gram_of_its_declared_kind_is_read(capsys, monkeypatch):
                                _metric_doc(1, gram, kind))
         assert code == 0
         assert json.loads(out)["metric"] == {"gram": gram, "kind": kind}
+
+
+@pytest.mark.parametrize("kind, gram", [("skew", [[0, 1], [-1, 0]]),
+                                        ("general", [[0, 1], [5, 0]])])
+def test_classify_structure_against_non_symmetric_metric_exits_2(capsys, monkeypatch,
+                                                                 kind, gram):
+    # diag(-1, 1) is an almost product structure, isometric or anti-isometric
+    # for both Grams, but the (alpha, epsilon) table is read off a signature
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                             _metric_doc(-1, gram, kind))
+    assert code == 2
+    assert err == ("error: the (alpha, epsilon) table needs a symmetric metric, "
+                   f"not a {kind} one\n")
+    assert out == ""
+
+
+def test_verify_case_with_no_triple_fails_without_traceback(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["verify", "P5.canonical-triples", "--dim", "3", "--trials",
+                              "3", "--seed", "5", "--tol", "1e-13", "--format", "json"])
+    assert code == 1
+    assert "Traceback" not in err
+    [report] = json.loads(out)
+    assert (report["trials"], report["failures"]) == (24, 1)
+
+
+def test_verify_library_error_names_the_check(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["verify", "all", "--dim", "3", "--trials", "3",
+                              "--seed", "5", "--tol", "1e-13"])
+    assert code == 2
+    assert err == "error: P4.twin-metrics: pair is not an (alpha, epsilon)-structure\n"
+    assert out == ""
