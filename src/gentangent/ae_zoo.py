@@ -254,12 +254,17 @@ _BASE_KIND_ALPHA = {HERMITIAN: -1, PARA_HERMITIAN: +1}
 def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
     """Build a named operator family from base data.
 
-    data is a BaseForm for the musical families Jg/Fg/Jom/Fom and an
+    data is a BaseForm for the musical families, symmetric for Jg/Fg (or
+    AeManifoldData, whose g they use) and skew for Jom/Fom, and an
     AeManifoldData for the J-dependent families.
     """
     kind = FAMILY_BASE_KIND.get(family)
     if kind in ("metric", "symplectic"):
         b = data.g if isinstance(data, AeManifoldData) else data
+        want = SYMMETRIC if kind == "metric" else SKEW
+        if b.kind != want:
+            raise UnknownFamilyError(
+                f"family {family!r} needs a {want} base form, not a {b.kind} one")
         return build_musical(b, -1 if family[0] == "J" else +1, tol)
     if not isinstance(data, AeManifoldData):
         raise UnknownFamilyError(f"family {family!r} needs (J, g) base data")
@@ -349,6 +354,8 @@ def twin_formula_check(family: str, data, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     family is "<op>@<metric>" with metric G0 or Gg, e.g. "Fg@Gg"; Jphi/Fphi
     denote the musical structures built from the base fundamental tensor.
+    A built pair that is not an (alpha, epsilon)-structure within tol fails
+    the check rather than raising.
     """
     if family not in TWIN_FORMULA_FAMILIES:
         raise UnknownFamilyError(f"unknown twin-formula family {family!r}")
@@ -362,7 +369,10 @@ def twin_formula_check(family: str, data, tol: Tolerance = DEFAULT_TOL) -> bool:
         op = build_musical(phi, -1 if op_id == "Jphi" else +1, tol)
     else:
         op = build_family(op_id, data, tol)
-    tensor = fundamental_tensor(op, metric, tol)
+    try:
+        tensor = fundamental_tensor(op, metric, tol)
+    except IncompatiblePairError:
+        return False
     expected = _closed_form_gram(op_id, metric_id, data, tol)
     return close(tensor.form.gram, expected, tol)
 

@@ -17,6 +17,10 @@ fields merged in at top level, so it can be re-ingested unchanged.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 ``GENTANGENT_TOL`` overrides the default tolerance.
+
+argv is parsed before anything beyond the standard library is imported, and
+each command imports only the modules it uses, so ``--help`` and usage errors
+never load numpy.
 """
 
 import argparse
@@ -24,50 +28,26 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import registry
-from .ae_zoo import (
-    FAMILY_BASE_KIND,
-    FAMILY_IDS,
-    INCOMPATIBLE,
-    AeManifoldData,
-    build_family,
-    classify_pair,
-    fundamental_tensor,
-)
-from .core import (
-    GENERAL,
-    SKEW,
-    SYMMETRIC,
-    BaseForm,
-    BilinearForm,
-    BlockOperator,
-    Tolerance,
-    close,
-)
 from .errors import GentangentError
-from .canonical import g0
-from .gen_metrics import (
-    metric_from_endomorphism,
-    symplectic_from_endomorphism,
-)
-from .generators import (
-    AE_KINDS,
-    fixture_dim,
-    random_ae_pair,
-    random_kahler_data,
-    random_metric,
-    random_symplectic,
-)
-from .triples import classify_triple
+
+
+def __getattr__(name):
+    # cli.build_family is no longer bound at import, but perfbench's tracer
+    # self-test reads it: resolve it to ae_zoo's current function
+    if name == "build_family":
+        from .ae_zoo import build_family
+
+        return build_family
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InputError(Exception):
     """Schema or validation problem in a CLI input document; exits 2."""
 
 
-def _tolerance(args) -> Tolerance:
+def _tolerance(args):
+    from .core import Tolerance
+
     value = 1e-9
     env = os.environ.get("GENTANGENT_TOL")
     if env is not None:
@@ -83,6 +63,8 @@ def _tolerance(args) -> Tolerance:
 
 
 def _matrix(doc, key, n, context):
+    import numpy as np
+
     if key not in doc or doc[key] is None:
         raise InputError(f"{context}: missing matrix {key!r}")
     try:
@@ -114,6 +96,8 @@ def _read_n(doc):
 
 
 def _read_operator(doc, n, context="operator"):
+    from .core import BlockOperator
+
     if not isinstance(doc, dict) or not doc:
         raise InputError(f"{context}: expected an object with H, sigma, tau, K")
     return BlockOperator(
@@ -125,6 +109,8 @@ def _read_operator(doc, n, context="operator"):
 
 
 def _read_metric(doc, n, tol):
+    from .core import GENERAL, SKEW, SYMMETRIC, BilinearForm, close
+
     if not isinstance(doc, dict):
         raise InputError("metric: expected an object with a gram matrix")
     gram = _matrix(doc, "gram", 2 * n, "metric")
@@ -140,6 +126,9 @@ def _read_metric(doc, n, tol):
 
 def _read_base(doc, n, tol):
     """(J, g) pair, lone metric, or lone symplectic form from a base block."""
+    from .ae_zoo import AeManifoldData
+    from .core import SKEW, SYMMETRIC, BaseForm
+
     if not isinstance(doc, dict):
         raise InputError("base: expected an object")
     if "omega" in doc and "g" not in doc:
@@ -160,12 +149,14 @@ def _read_base(doc, n, tol):
     raise InputError("base: (J, g) is not an (alpha, epsilon) pair")
 
 
-def _operator_doc(op: BlockOperator) -> dict:
+def _operator_doc(op) -> dict:
     return {"H": op.H.tolist(), "sigma": op.sigma.tolist(),
             "tau": op.tau.tolist(), "K": op.K.tolist()}
 
 
 def _resolve_operator(doc, n, tol):
+    from .ae_zoo import FAMILY_IDS, build_family
+
     if "operator" in doc:
         return _read_operator(doc["operator"], n)
     if "family" in doc:
@@ -180,12 +171,17 @@ def _resolve_operator(doc, n, tol):
 
 
 def _classify(doc, tol):
+    from .ae_zoo import INCOMPATIBLE, classify_pair, fundamental_tensor
+    from .gen_metrics import metric_from_endomorphism, symplectic_from_endomorphism
+
     if not isinstance(doc, dict):
         raise InputError("top level: expected a JSON object")
     n = _read_n(doc)
     op = _resolve_operator(doc, n, tol)
     out = {"n": n, "operator": _operator_doc(op)}
     if "operator2" in doc:
+        from .triples import classify_triple
+
         second = _read_operator(doc["operator2"], n, "operator2")
         report = classify_triple(op, second, tol)
         out["operator2"] = _operator_doc(second)
@@ -219,6 +215,8 @@ def _classify(doc, tol):
 
 
 def _classify_table(out):
+    from .ae_zoo import INCOMPATIBLE
+
     lines = []
     if "triple" in out:
         lines.append(f"triple kind    {out['triple']['kind']}")
@@ -270,6 +268,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import registry
+
     tol = _tolerance(args)
     ids = registry.REGISTRY_IDS if args.id == "all" else (args.id,)
     for pid in ids:
@@ -302,6 +302,9 @@ def cmd_verify(args) -> int:
 
 
 def _default_base(family, n, seed):
+    from .ae_zoo import FAMILY_BASE_KIND
+    from .generators import fixture_dim, random_ae_pair, random_metric, random_symplectic
+
     kind = FAMILY_BASE_KIND[family]
     if kind == "metric":
         return random_metric(n, n, 0, seed)
@@ -311,6 +314,9 @@ def _default_base(family, n, seed):
 
 
 def _base_doc(base) -> dict:
+    from .ae_zoo import AeManifoldData
+    from .core import SKEW
+
     if isinstance(base, AeManifoldData):
         return {"g": base.g.gram.tolist(), "J": base.J.tolist()}
     if base.kind == SKEW:
@@ -319,6 +325,8 @@ def _base_doc(base) -> dict:
 
 
 def cmd_build(args) -> int:
+    from .ae_zoo import FAMILY_IDS, build_family
+
     tol = _tolerance(args)
     if args.family not in FAMILY_IDS:
         print(f"unknown family {args.family!r}; known: {', '.join(FAMILY_IDS)}",
@@ -349,6 +357,11 @@ def _write_fixtures(out_dir, docs) -> None:
 
 
 def cmd_fixtures(args) -> int:
+    from .ae_zoo import build_family
+    from .canonical import g0
+    from .generators import (AE_KINDS, fixture_dim, random_ae_pair,
+                             random_kahler_data, random_metric, random_symplectic)
+
     n = args.dim
     even = fixture_dim(n)
     docs = {}

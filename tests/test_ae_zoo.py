@@ -162,6 +162,36 @@ def test_build_family_unknown_and_wrong_alpha():
         gt.build_family("FlamF+", data)  # needs alpha = +1 data
 
 
+def test_musical_families_need_a_base_form_of_their_kind():
+    g = gt.BaseForm(np.eye(2), gt.SYMMETRIC)
+    omega = gt.BaseForm(np.array([[0.0, 1.0], [-1.0, 0.0]]), gt.SKEW)
+    data = gt.random_ae_pair("Hermitian", 2, seed=1)
+    for family in ("Jom", "Fom"):
+        for wrong in (g, data):
+            with pytest.raises(gt.UnknownFamilyError,
+                               match=f"'{family}' needs a skew base form, not a symmetric one"):
+                gt.build_family(family, wrong)
+        gt.build_family(family, omega)
+    for family in ("Jg", "Fg"):
+        with pytest.raises(gt.UnknownFamilyError,
+                           match=f"'{family}' needs a symmetric base form, not a skew one"):
+            gt.build_family(family, omega)
+        # (J, g) data gives the musical families its metric g
+        assert np.array_equal(gt.build_family(family, data).assemble(),
+                              gt.build_family(family, data.g).assemble())
+
+
+def test_twin_formula_check_fails_a_pair_that_misses_the_tolerance():
+    # trial 0 of P4.twin-metrics at n = 3, seed 5: the built JFg pair is not
+    # an (alpha, epsilon)-structure at 1e-13
+    tol = gt.Tolerance(1e-13, 1e-13)
+    data = gt.random_ae_pair("ParaHermitian", 4, 500028)
+    with pytest.raises(gt.IncompatiblePairError):
+        gt.fundamental_tensor(gt.build_family("JFg", data, tol), gt.g0(4), tol)
+    assert gt.twin_formula_check("JFg@G0", data, tol) is False
+    assert gt.twin_formula_check("JFg@G0", data)
+
+
 def test_triangular_iff_both_directions():
     """G0-compatibility of the triangular families pivots on the sign of eps."""
     cells = (

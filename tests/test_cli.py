@@ -396,7 +396,37 @@ def test_verify_case_with_no_triple_fails_without_traceback(capsys, monkeypatch)
 def test_verify_library_error_names_the_check(capsys, monkeypatch):
     code, out, err = run_cli(capsys, monkeypatch,
                              ["verify", "all", "--dim", "3", "--trials", "3",
-                              "--seed", "5", "--tol", "1e-13"])
+                              "--seed", "5", "--tol", "1e300"])
     assert code == 2
-    assert err == "error: P4.twin-metrics: pair is not an (alpha, epsilon)-structure\n"
+    assert err == "error: P2.flat-sharp: base form is numerically degenerate\n"
     assert out == ""
+
+
+def test_verify_twin_pair_missing_the_tolerance_is_a_failed_case(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["verify", "all", "--dim", "3", "--trials", "3",
+                              "--seed", "5", "--tol", "1e-13", "--format", "json"])
+    assert code == 1
+    assert err == ""
+    reports = {r["id"]: (r["trials"], r["failures"]) for r in json.loads(out)}
+    assert len(reports) == 17
+    assert reports["P4.twin-metrics"] == (72, 4)
+    assert {pid: f for pid, (_, f) in reports.items() if f} == {
+        "P4.mixed-iff": 2, "P4.twin-metrics": 4, "P5.canonical-triples": 1}
+
+
+@pytest.mark.parametrize("family, base, want, given", [
+    ("Jom", {"g": [[1.0, 0.0], [0.0, 1.0]]}, "skew", "symmetric"),
+    ("Fom", {"g": [[2.0, 0.0], [0.0, 1.0]]}, "skew", "symmetric"),
+    ("Jg", {"omega": [[0.0, 1.0], [-1.0, 0.0]]}, "symmetric", "skew"),
+    ("Fg", {"omega": [[0.0, 1.0], [-1.0, 0.0]]}, "symmetric", "skew"),
+])
+def test_musical_family_from_base_of_the_wrong_kind_exits_2(
+        capsys, monkeypatch, family, base, want, given):
+    message = f"error: family {family!r} needs a {want} base form, not a {given} one\n"
+    code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
+                             json.dumps({"n": 2, "base": base}))
+    assert (code, out, err) == (2, "", message)
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                             json.dumps({"n": 2, "family": family, "base": base}))
+    assert (code, out, err) == (2, "", message)

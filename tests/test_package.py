@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
 
 import gentangent
 
@@ -50,6 +53,57 @@ def test_public_names_are_pinned():
     assert sorted(gentangent.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(gentangent, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    # a star import is only allowed at module level
+    exec("from gentangent import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+# Public constants carry no __module__; these are the modules that define them.
+CONSTANT_HOMES = {"GENERAL": "core", "SKEW": "core", "SYMMETRIC": "core",
+                  "FAMILY_IDS": "ae_zoo", "TWIN_FORMULA_FAMILIES": "ae_zoo",
+                  "TRIPLE_NAMES": "triples"}
+
+
+def test_each_public_name_is_the_defining_modules_object():
+    for name in PUBLIC_NAMES:
+        value = getattr(gentangent, name)
+        if inspect.ismodule(value):
+            assert value is importlib.import_module(f"gentangent.{name}")
+            continue
+        home = (f"gentangent.{CONSTANT_HOMES[name]}" if name in CONSTANT_HOMES
+                else value.__module__)
+        assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(dir(gentangent)) >= set(gentangent.__all__)
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'gentangent' has no attribute 'nope'"):
+        gentangent.nope
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_leaves_no_wrapper_in_the_package():
+    original = gentangent.core.close
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert gentangent.close is gentangent.core.close is not original
+    finally:
+        tracer.restore()
+    assert gentangent.close is gentangent.core.close is original
 
 
 def test_every_name_the_benchmark_traces_exists():
