@@ -6,8 +6,8 @@ epsilon G(u, v)).  The four sign pairs name the product / para-Hermitian /
 Hermitian / Norden families.
 """
 
-from dataclasses import dataclass
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _ReadOnly,
     _assemble,
     _inverse_unless_degenerate,
     close,
@@ -50,36 +51,30 @@ TWIN_METRIC = "TwinMetric"
 FUNDAMENTAL_SYMPLECTIC = "FundamentalSymplectic"
 
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(NamedTuple):
     name: str
     alpha: int | None = None
     epsilon: int | None = None
     signature: tuple | None = None
 
 
-@dataclass(frozen=True)
-class FundamentalTensor:
+class FundamentalTensor(NamedTuple):
     form: BilinearForm
     kind: str
 
 
-@dataclass(frozen=True)
-class AeManifoldData:
+class AeManifoldData(_ReadOnly):
     """A base-fiber pair (J, g) with J^2 = alpha I and g(J., J.) = epsilon g."""
 
-    J: np.ndarray
-    g: BaseForm
-    alpha: int
-    epsilon: int
+    __slots__ = ("J", "g", "alpha", "epsilon")
 
-    def __post_init__(self):
-        j = np.asarray(self.J, dtype=float)
-        object.__setattr__(self, "J", j)
-        if j.shape != (self.g.n, self.g.n):
+    def __init__(self, J, g: BaseForm, alpha: int, epsilon: int):
+        j = np.asarray(J, dtype=float)
+        if j.shape != (g.n, g.n):
             raise DimensionError("J and g dimensions differ")
-        if self.alpha not in (+1, -1) or self.epsilon not in (+1, -1):
+        if alpha not in (+1, -1) or epsilon not in (+1, -1):
             raise ValueError("alpha and epsilon must be +1 or -1")
+        self._set(J=j, g=g, alpha=alpha, epsilon=epsilon)
 
     @property
     def n(self) -> int:

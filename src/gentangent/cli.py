@@ -24,11 +24,17 @@ never load numpy.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
 
 from .errors import GentangentError
+
+# atexit handlers run before the final GC passes: freezing spares those passes
+# the ~22,000 objects that die with the process.  Flushes still run.
+atexit.register(gc.freeze)
 
 
 def __getattr__(name):
@@ -108,8 +114,18 @@ def _read_operator(doc, n, context="operator"):
     )
 
 
+def _of_kind(gram, kind, tol, what):
+    """gram, checked by ``close(gram, +-gram.T, tol)`` if symmetric or skew."""
+    from .core import SKEW, SYMMETRIC, close
+
+    sign = {SYMMETRIC: +1, SKEW: -1}.get(kind)
+    if sign is not None and not close(gram, sign * gram.T, tol):
+        raise InputError(f"{what} is not {kind}")
+    return gram
+
+
 def _read_metric(doc, n, tol):
-    from .core import GENERAL, SKEW, SYMMETRIC, BilinearForm, close
+    from .core import GENERAL, SKEW, SYMMETRIC, BilinearForm
 
     if not isinstance(doc, dict):
         raise InputError("metric: expected an object with a gram matrix")
@@ -118,10 +134,7 @@ def _read_metric(doc, n, tol):
     # a tuple test, not a dict lookup: a JSON list or object is unhashable
     if kind not in (SYMMETRIC, SKEW, GENERAL):
         raise InputError(f"metric: unknown kind {kind!r}")
-    sign = {SYMMETRIC: +1, SKEW: -1}.get(kind)
-    if sign is not None and not close(gram, sign * gram.T, tol):
-        raise InputError(f"metric: gram declared {kind} is not {kind}")
-    return BilinearForm(gram, kind)
+    return BilinearForm(_of_kind(gram, kind, tol, f"metric: gram declared {kind}"), kind)
 
 
 def _read_base(doc, n, tol):
@@ -132,10 +145,10 @@ def _read_base(doc, n, tol):
     if not isinstance(doc, dict):
         raise InputError("base: expected an object")
     if "omega" in doc and "g" not in doc:
-        return BaseForm(_matrix(doc, "omega", n, "base"), SKEW)
+        return BaseForm(_of_kind(_matrix(doc, "omega", n, "base"), SKEW, tol, "base: omega"), SKEW)
     if "g" not in doc:
         raise InputError("base: needs at least g or omega")
-    g = BaseForm(_matrix(doc, "g", n, "base"), SYMMETRIC)
+    g = BaseForm(_of_kind(_matrix(doc, "g", n, "base"), SYMMETRIC, tol, "base: g"), SYMMETRIC)
     if "J" not in doc:
         return g
     j = _matrix(doc, "J", n, "base")

@@ -26,7 +26,7 @@ flat(1)(1) = 2 = g(1, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,20 +37,45 @@ SKEW = "skew"
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute / relative tolerances used by numerical predicates."""
+class _ReadOnly:
+    """Read-only slotted base (no dataclass code generation at import)."""
 
-    abs: float = 1e-9
-    rel: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (np.isfinite(self.abs) and np.isfinite(self.rel)):
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} objects are read-only")
+
+    __delattr__ = __setattr__
+
+
+class Tolerance(_ReadOnly):
+    """Absolute / relative tolerances; equal and hashed by value (a memo key)."""
+
+    __slots__ = ("abs", "rel")
+
+    def __init__(self, abs: float = 1e-9, rel: float = 1e-9):
+        if not (np.isfinite(abs) and np.isfinite(rel)):
             raise ValueError("tolerances must be finite")
-        if self.abs < 0 or self.rel < 0:
+        if abs < 0 or rel < 0:
             raise ValueError("tolerances must be nonnegative")
-        if self.abs == 0 and self.rel == 0:
+        if abs == 0 and rel == 0:
             raise ValueError("at least one tolerance must be positive")
+        self._set(abs=abs, rel=rel)
+
+    def __eq__(self, other):
+        if type(other) is not Tolerance:
+            return NotImplemented
+        return (self.abs, self.rel) == (other.abs, other.rel)
+
+    def __hash__(self):
+        return hash((self.abs, self.rel))
+
+    def __repr__(self):
+        return f"Tolerance(abs={self.abs!r}, rel={self.rel!r})"
 
 
 DEFAULT_TOL = Tolerance()
@@ -83,17 +108,16 @@ def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return np.linalg.norm(a - b) <= tol.abs * s + tol.rel * scale
 
 
-@dataclass(frozen=True)
-class GeneralizedVector:
+class GeneralizedVector(_ReadOnly):
     """An element X + xi of V + V*, stored as 2n coordinates."""
 
-    coords: np.ndarray
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float).reshape(-1)
+    def __init__(self, coords):
+        c = np.asarray(coords, dtype=float).reshape(-1)
         if c.size == 0 or c.size % 2 != 0:
             raise DimensionError(f"coordinate length must be a positive even number, got {c.size}")
-        object.__setattr__(self, "coords", c)
+        self._set(coords=c)
 
     @classmethod
     def from_parts(cls, vector_part, covector_part) -> "GeneralizedVector":
@@ -145,8 +169,7 @@ def _block_view(row: int, col: int) -> property:
     return property(view)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class BlockOperator:
+class BlockOperator(_ReadOnly):
     """An endomorphism of V + V* in block form [[H, sigma], [tau, K]].
 
     H maps V to V, sigma maps dual coordinates to V, tau maps V to dual
@@ -156,14 +179,14 @@ class BlockOperator:
     application are dense matrix operations on it.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
     def __init__(self, H, sigma, tau, K):
         self._freeze(_assemble(H, sigma, tau, K))
 
     def _freeze(self, m: np.ndarray) -> None:
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
     @classmethod
     def _of(cls, m: np.ndarray) -> "BlockOperator":
@@ -214,23 +237,21 @@ def _own_gram(form, gram) -> np.ndarray:
     """Give a form a read-only copy of its Gram and an empty memo of facts."""
     g = _as_matrix(np.array(gram, dtype=float))
     g.flags.writeable = False
-    object.__setattr__(form, "gram", g)
-    object.__setattr__(form, "_facts", {})
+    form._set(gram=g, _facts={})
     return g
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(_ReadOnly):
     """A bilinear form on V + V*, stored by its 2n x 2n Gram matrix."""
 
-    gram: np.ndarray
-    kind: str = GENERAL
+    __slots__ = ("gram", "kind", "_facts")
 
-    def __post_init__(self):
-        if _own_gram(self, self.gram).shape[0] % 2 != 0:
+    def __init__(self, gram, kind: str = GENERAL):
+        if _own_gram(self, gram).shape[0] % 2 != 0:
             raise DimensionError("Gram matrix must be 2n x 2n")
-        if self.kind not in (SYMMETRIC, SKEW, GENERAL):
-            raise ValueError(f"unknown form kind {self.kind!r}")
+        if kind not in (SYMMETRIC, SKEW, GENERAL):
+            raise ValueError(f"unknown form kind {kind!r}")
+        self._set(kind=kind)
 
     @property
     def n(self) -> int:
@@ -242,17 +263,16 @@ class BilinearForm:
         return float(u.coords @ self.gram @ v.coords)
 
 
-@dataclass(frozen=True)
-class BaseForm:
+class BaseForm(_ReadOnly):
     """A bilinear form on the base fiber V, stored by its n x n Gram matrix."""
 
-    gram: np.ndarray
-    kind: str = SYMMETRIC
+    __slots__ = ("gram", "kind", "_facts")
 
-    def __post_init__(self):
-        _own_gram(self, self.gram)
-        if self.kind not in (SYMMETRIC, SKEW):
-            raise ValueError(f"base form kind must be symmetric or skew, got {self.kind!r}")
+    def __init__(self, gram, kind: str = SYMMETRIC):
+        _own_gram(self, gram)
+        if kind not in (SYMMETRIC, SKEW):
+            raise ValueError(f"base form kind must be symmetric or skew, got {kind!r}")
+        self._set(kind=kind)
 
     @property
     def n(self) -> int:
@@ -408,8 +428,7 @@ def signature(f, tol: Tolerance = DEFAULT_TOL):
     return f._facts[key]
 
 
-@dataclass(frozen=True)
-class PolynomialClass:
+class PolynomialClass(NamedTuple):
     """Result of classifying op^2 against +/- identity."""
 
     kind: str  # "complex", "product" or "neither"

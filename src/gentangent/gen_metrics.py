@@ -11,7 +11,7 @@ Worked n=2 example for the tau condition: (tau X)(Y) = X.T @ tau.T @ Y, so
 (tau X)(Y) = (tau Y)(X) for all X, Y exactly when tau = tau.T as a matrix.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ TAU_NOT_SKEW = "TauNotSkew"
 SIGMA_NOT_SKEW = "SigmaNotSkew"
 
 
-@dataclass(frozen=True)
-class MetricInducerReport:
+class MetricInducerReport(NamedTuple):
     """Named condition failures of a candidate inducing endomorphism."""
 
     violations: tuple = ()

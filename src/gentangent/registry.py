@@ -11,8 +11,8 @@ over a finite case table ignore ``trials`` and yield one case per table row.
 """
 
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ from .generators import (
 )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     id: str
     trials: int
     failures: int

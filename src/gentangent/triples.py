@@ -1,6 +1,6 @@
 """Commutation analysis, triple structures and the almost-Kahler round trip."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (
     BlockOperator,
     DEFAULT_TOL,
     Tolerance,
+    _ReadOnly,
     _assemble,
     close,
     dual_map,
@@ -46,8 +47,7 @@ ANTI_COMMUTES = "AntiCommutes"
 NEITHER_COMMUTATION = "Neither"
 
 
-@dataclass(frozen=True)
-class TripleReport:
+class TripleReport(NamedTuple):
     kind: str
     commutation_sign: int | None = None  # JF = sign * FJ
     product: BlockOperator | None = None  # K = FJ
@@ -222,22 +222,17 @@ def is_almost_kahler(j1: BlockOperator, j2: BlockOperator, tol: Tolerance = DEFA
     return True, form
 
 
-@dataclass(frozen=True)
-class KahlerData:
+class KahlerData(_ReadOnly):
     """Base data (b, g, J1, J2): a 2-form, a Riemannian metric and two
     g-isometric almost complex structures."""
 
-    b: np.ndarray
-    g: BaseForm
-    J1: np.ndarray
-    J2: np.ndarray
+    __slots__ = ("b", "g", "J1", "J2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "J1", np.asarray(self.J1, dtype=float))
-        object.__setattr__(self, "J2", np.asarray(self.J2, dtype=float))
+    def __init__(self, b, g: BaseForm, J1, J2):
+        self._set(b=np.asarray(b, dtype=float), g=g,
+                  J1=np.asarray(J1, dtype=float), J2=np.asarray(J2, dtype=float))
         for name in ("b", "J1", "J2"):
-            if getattr(self, name).shape != (self.g.n, self.g.n):
+            if getattr(self, name).shape != (g.n, g.n):
                 raise DimensionError(f"{name} and g dimensions differ")
 
     @property

@@ -75,6 +75,45 @@ def test_ae_manifold_data_validate():
         gt.AeManifoldData(data.J, data.g, alpha=2, epsilon=1)
 
 
+def test_ae_and_kahler_data_are_read_only_and_compare_by_identity():
+    data = gt.random_ae_pair("Norden", 4, seed=5)
+    same = gt.AeManifoldData(J=data.J, g=data.g, alpha=data.alpha, epsilon=data.epsilon)
+    assert same.J is data.J and same.g is data.g
+    assert data == data and data != same
+    assert hash(data) == hash(data) and len({data, same}) == 2
+    kahler = gt.random_kahler_data(4, seed=1)
+    assert gt.KahlerData(kahler.b, kahler.g, J1=kahler.J1, J2=kahler.J2).validate()
+    for record in (data, kahler):
+        for name in (*type(record).__slots__, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    with pytest.raises(gt.DimensionError):
+        gt.AeManifoldData(np.eye(3), data.g, -1, -1)
+    with pytest.raises(gt.DimensionError):
+        gt.KahlerData(kahler.b, kahler.g, kahler.J1, np.eye(3))
+
+
+def test_result_records_keep_their_fields_and_repr():
+    from gentangent.registry import VerifyReport
+
+    # pinned reprs, so logs and scripts that print a record read the same
+    cls = gt.StructureClass("Norden", -1, -1, (2, 2))
+    assert repr(cls) == "StructureClass(name='Norden', alpha=-1, epsilon=-1, signature=(2, 2))"
+    assert cls == gt.StructureClass(name="Norden", alpha=-1, epsilon=-1, signature=(2, 2))
+    assert gt.StructureClass(INCOMPATIBLE).signature is None
+    report = VerifyReport("P2.flat-sharp", 3, 0, 1.5e-15, 0.25)
+    assert repr(report) == ("VerifyReport(id='P2.flat-sharp', trials=3, failures=0, "
+                            "max_residual=1.5e-15, elapsed=0.25)")
+    assert report.passed and not report._replace(failures=1).passed
+    form = gt.BilinearForm(np.eye(2))
+    tensor = gt.FundamentalTensor(form=form, kind=TWIN_METRIC)
+    assert (tensor.form, tensor.kind) == (form, TWIN_METRIC)
+    triple = gt.TripleReport("None")
+    assert (triple.kind, triple.commutation_sign, triple.product) == ("None", None, None)
+
+
 def test_base_fundamental_kind():
     hermitian = gt.random_ae_pair("Hermitian", 2, seed=1)
     assert gt.base_fundamental(hermitian).kind == gt.SKEW

@@ -430,3 +430,20 @@ def test_musical_family_from_base_of_the_wrong_kind_exits_2(
     code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
                              json.dumps({"n": 2, "family": family, "base": base}))
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("family, base, message", [
+    ("Jg", {"g": [[0.0, 1.0], [-1.0, 0.0]]}, "base: g is not symmetric"),
+    ("Fg", {"g": [[1.0, 3.0], [0.0, 1.0]]}, "base: g is not symmetric"),
+    ("JJgFlat", {"g": [[1.0, 3.0], [0.0, 1.0]], "J": [[0.0, -1.0], [1.0, 0.0]]},
+     "base: g is not symmetric"),
+    ("Jom", {"omega": [[1.0, 0.0], [0.0, 1.0]]}, "base: omega is not skew"),
+    ("Fom", {"omega": [[0.0, 1.0], [2.0, 0.0]]}, "base: omega is not skew"),
+])
+def test_base_form_not_of_its_kind_exits_2(capsys, monkeypatch, family, base, message):
+    code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
+                             json.dumps({"n": 2, "base": base}))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                             json.dumps({"n": 2, "family": family, "base": base}))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -21,6 +21,66 @@ def test_tolerance_validation():
     assert tol.abs == 1e-6 and tol.rel == 1e-3
 
 
+def test_tolerance_is_a_value():
+    # forms key their kept musicals and signatures on the tolerance
+    tol = gt.Tolerance(1e-9, 1e-9)
+    assert tol == gt.DEFAULT_TOL and tol is not gt.DEFAULT_TOL
+    assert hash(tol) == hash(gt.DEFAULT_TOL)
+    assert gt.Tolerance(rel=1e-9, abs=1e-9) == gt.Tolerance() == tol
+    assert gt.Tolerance(1e-9, 1e-8) != tol and tol != (1e-9, 1e-9)
+    assert len({tol, gt.DEFAULT_TOL, gt.Tolerance(1e-8)}) == 2
+    assert repr(tol) == "Tolerance(abs=1e-09, rel=1e-09)"
+    for bad in ((0.0, 0.0), (np.inf, 1e-9), (1e-9, np.nan)):
+        with pytest.raises(ValueError):
+            gt.Tolerance(*bad)
+
+
+def _records():
+    """One object of each slotted record class of core."""
+    g = np.diag([1.0, 2.0])
+    return [gt.Tolerance(), gt.GeneralizedVector([1.0, 2.0]),
+            gt.BlockOperator(np.eye(1), 0, 0, np.eye(1)), gt.BilinearForm(g),
+            gt.BaseForm(g), gt.BaseForm(gram=g, kind=gt.SKEW)]
+
+
+def test_records_are_read_only():
+    for record in _records():
+        for name in (*type(record).__slots__, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+
+def test_array_records_compare_and_hash_by_identity():
+    for first, second in ((gt.BilinearForm(np.eye(2)), gt.BilinearForm(np.eye(2))),
+                          (gt.BaseForm(np.eye(2)), gt.BaseForm(np.eye(2))),
+                          (gt.GeneralizedVector([1.0, 2.0]), gt.GeneralizedVector([1.0, 2.0]))):
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
+
+
+def test_records_construct_positionally_and_by_keyword():
+    g = np.diag([1.0, 2.0])
+    assert gt.BilinearForm(g).kind == gt.GENERAL
+    assert gt.BilinearForm(gram=g, kind=gt.SYMMETRIC).kind == gt.SYMMETRIC
+    assert gt.BaseForm(g).kind == gt.SYMMETRIC
+    assert gt.BaseForm(g, gt.SKEW).kind == gt.SKEW
+    assert np.array_equal(gt.GeneralizedVector(coords=[[1.0], [2.0]]).coords, [1.0, 2.0])
+    pc = gt.PolynomialClass("product", 2, minus_dim=2)
+    assert (pc.kind, pc.plus_dim, pc.minus_dim, pc.alpha, pc.is_paracomplex) == (
+        "product", 2, 2, 1, True)
+    assert gt.PolynomialClass(kind="complex") == gt.PolynomialClass("complex", None, None)
+    report = gt.MetricInducerReport()
+    assert report.violations == () and report.valid
+    assert not gt.MetricInducerReport(violations=("NotInjective",)).valid
+    with pytest.raises(ValueError):
+        gt.BaseForm(g, gt.GENERAL)
+    with pytest.raises(gt.DimensionError):
+        gt.BilinearForm(np.eye(3))
+
+
 def test_close_is_scale_aware():
     a = np.eye(3) * 1e8
     assert gt.close(a, a + 1e-3, gt.Tolerance(1e-9, 1e-9))
