@@ -226,24 +226,98 @@ def build_mixed(data: AeManifoldData, tol: Tolerance = DEFAULT_TOL) -> BlockOper
 
 
 # ---------------------------------------------------------------------------
-# Closed-form fundamental tensors, assembled independently from base data.
+# The family table: each fact about an operator family, stated once.
 
-# Default base data of each family: a lone metric or symplectic form for the
-# musical families, otherwise the kind of (alpha, eps) pair to draw, whose
-# alpha is the one the family needs.
-FAMILY_BASE_KIND = {
-    "Jg": "metric", "Fg": "metric", "Jom": "symplectic", "Fom": "symplectic",
-    "JlamJ+": HERMITIAN, "JlamJ-": HERMITIAN,
-    "FlamF+": PARA_HERMITIAN, "FlamF-": PARA_HERMITIAN,
-    "JJgFlat": HERMITIAN, "JJgSharp": HERMITIAN,
-    "FFgFlat": PARA_HERMITIAN, "FFgSharp": PARA_HERMITIAN,
-    "FJg": HERMITIAN, "JFg": PARA_HERMITIAN,
+MUSICAL, DIAGONAL, TRIANGULAR, MIXED = "musical", "diagonal", "triangular", "mixed"
+
+# alpha of each kind of (J, g) base data, in the order of generators.AE_KINDS
+_KIND_ALPHA = {HERMITIAN: -1, INDEFINITE_HERMITIAN: -1, NORDEN: -1,
+               PARA_HERMITIAN: +1, PRODUCT_RIEMANNIAN: +1}
+
+
+class _Family(NamedTuple):
+    """One operator family: how it is built, its closed forms and its classes."""
+
+    shape: str  # MUSICAL, DIAGONAL, TRIANGULAR or MIXED
+    param: object  # the musical sign, the diagonal lam or the triangular variant
+    base_kind: str  # SYMMETRIC or SKEW for a lone form, else the default (J, g) kind
+    g0: tuple | None = None  # closed-form tensor against G0, see _closed_form_gram
+    gg: tuple | None = None  # and against Gg
+    on_g0: tuple = ()  # class against G0 on each kind of (J, g) data of its alpha
+    on_gg: tuple = ()  # and against Gg, both in _KIND_ALPHA order
+
+    @property
+    def alpha(self):
+        """alpha of the family's default (J, g) data; None for a lone form."""
+        return _KIND_ALPHA.get(self.base_kind)
+
+    def classes(self, metric_id: str) -> dict:
+        """{kind of (J, g) data: class} against "G0" or "Gg"."""
+        kinds = [k for k, a in _KIND_ALPHA.items() if a == self.alpha]
+        return dict(zip(kinds, self.on_g0 if metric_id == "G0" else self.on_gg))
+
+
+# The classes follow from the blocks of M = [[H, S], [T, K]] on data with
+# J^2 = alpha I and J^T g J = eps g, hence J g^-1 J^T = eps g^-1 and
+# J^T g = alpha eps g J:
+#   2 M^T G0 M = [[H^T T + T^T H, H^T K + T^T S], [., S^T K + K^T S]]
+#   M^T Gg M = [[H^T g H + T^T g^-1 T, H^T g S + T^T g^-1 K], [., S^T g S + K^T g^-1 K]]
+# G0 has signature (n, n), so no class against it is Riemannian; Gg =
+# [[g, 0], [0, g^-1]] is Riemannian on Hermitian and ProductRiemannian data.
+_HALF_R2 = sqrt(2.0) / 2.0
+_TWO_R2 = 2.0 * sqrt(2.0)
+
+FAMILIES = {
+    # musical [[0, sign sharp], [flat, 0]] of a metric, a symplectic form or phi
+    "Jg": _Family(MUSICAL, -1, SYMMETRIC, (0.5, 0, -0.5), (0, -2.0, 0, 0)),
+    "Fg": _Family(MUSICAL, +1, SYMMETRIC, (0.5, 0, 0.5), (2.0, 0, 0, 0)),
+    "Jom": _Family(MUSICAL, -1, SKEW, (0.5, 0, 0.5)),
+    "Fom": _Family(MUSICAL, +1, SKEW, (0.5, 0, -0.5)),
+    "Jphi": _Family(MUSICAL, -1, HERMITIAN, gg=(0, 0, -1, 0)),
+    "Fphi": _Family(MUSICAL, +1, PARA_HERMITIAN, gg=(0, 0, +1, 0)),
+    # diag(J, lam J^T): M^2 = alpha I.  G0: H^T K = lam alpha I, so eps = lam
+    # alpha on every kind.  Gg: M^T Gg M = eps Gg, the data's own class, but
+    # ParaNorden on ProductRiemannian data, whose F has n/2 eigenvalues +1 and
+    # n/2 eigenvalues -1, so that diag(F, +-F^T) has n of each.
+    "JlamJ+": _Family(DIAGONAL, +1, HERMITIAN, (0, +1, 0), (0, 0, 0, -1),
+                      (NORDEN,) * 3, (HERMITIAN, INDEFINITE_HERMITIAN, NORDEN)),
+    "JlamJ-": _Family(DIAGONAL, -1, HERMITIAN, (0, -1, 0), (0, 0, 0, +1),
+                      (INDEFINITE_HERMITIAN,) * 3, (HERMITIAN, INDEFINITE_HERMITIAN, NORDEN)),
+    "FlamF+": _Family(DIAGONAL, +1, PARA_HERMITIAN, (0, +1, 0), (0, 0, 0, +1),
+                      (PRODUCT_PSEUDO_RIEMANNIAN,) * 2, (PARA_HERMITIAN, PARA_NORDEN)),
+    "FlamF-": _Family(DIAGONAL, -1, PARA_HERMITIAN, (0, -1, 0), (0, 0, 0, -1),
+                      (PARA_HERMITIAN,) * 2, (PARA_HERMITIAN, PARA_NORDEN)),
+    # [[J, 0], [flat, K]] or [[J, sharp], [0, K]], K = -alpha eps J^T: M^2 =
+    # alpha I.  G0: H^T T + T^T H = (1 + alpha eps) g J, or S^T K + K^T S =
+    # -alpha eps (1 + alpha eps) g^-1 J^T, vanishes iff alpha eps = -1, where
+    # H^T K = -eps I.  Gg: T^T g^-1 K = -alpha eps J^T or H^T g S = J^T != 0.
+    "JJgFlat": _Family(TRIANGULAR, FLAT, HERMITIAN, (0.5, 1, 0), None,
+                       (NORDEN, NORDEN, INCOMPATIBLE), (INCOMPATIBLE,) * 3),
+    "JJgSharp": _Family(TRIANGULAR, SHARP, HERMITIAN, (0, 1, 0.5), None,
+                        (NORDEN, NORDEN, INCOMPATIBLE), (INCOMPATIBLE,) * 3),
+    "FFgFlat": _Family(TRIANGULAR, FLAT, PARA_HERMITIAN, (0.5, 1, 0), None,
+                       (PRODUCT_PSEUDO_RIEMANNIAN, INCOMPATIBLE), (INCOMPATIBLE,) * 2),
+    "FFgSharp": _Family(TRIANGULAR, SHARP, PARA_HERMITIAN, (0, 1, 0.5), None,
+                        (PRODUCT_PSEUDO_RIEMANNIAN, INCOMPATIBLE), (INCOMPATIBLE,) * 2),
+    # [[J, r sharp], [r flat, eps J^T]], r^2 = 2, alpha = -1: M^2 = I.  G0: H^T T +
+    # T^T H = r (1 - eps) g J, so eps = +1, where H^T K + T^T S = I.  Gg: the
+    # corner r (1 + eps) J^T, so eps = -1, where M^T Gg M = Gg, g is neutral.
+    "FJg": _Family(MIXED, None, HERMITIAN, (_HALF_R2, 1, _HALF_R2), (_TWO_R2, 0, 0, 1),
+                   (PRODUCT_PSEUDO_RIEMANNIAN,) * 2 + (INCOMPATIBLE,),
+                   (INCOMPATIBLE,) * 2 + (PRODUCT_PSEUDO_RIEMANNIAN,)),
+    # [[F, -r sharp], [r flat, -eps F^T]], alpha = +1: M^2 = -I.  G0: H^T T +
+    # T^T H = r (1 + eps) g F, so eps = -1, where H^T K + T^T S = -I.  Gg: the
+    # corner -r (1 + eps) F^T, so eps = -1, where M^T Gg M = Gg, g is neutral.
+    "JFg": _Family(MIXED, None, PARA_HERMITIAN, (_HALF_R2, 1, -_HALF_R2), (0, -_TWO_R2, 0, 1),
+                   (NORDEN, INCOMPATIBLE), (INDEFINITE_HERMITIAN, INCOMPATIBLE)),
 }
 
-FAMILY_IDS = tuple(FAMILY_BASE_KIND)
+# the CLI's families: all but Jphi and Fphi
+FAMILY_IDS = tuple(f for f, row in FAMILIES.items()
+                   if row.shape != MUSICAL or row.base_kind in (SYMMETRIC, SKEW))
 
-# alpha of the (J, g) data a J-dependent family needs, by its base kind
-_BASE_KIND_ALPHA = {HERMITIAN: -1, PARA_HERMITIAN: +1}
+TWIN_FORMULA_FAMILIES = (tuple(f"{f}@G0" for f, row in FAMILIES.items() if row.g0)
+                         + tuple(f"{f}@Gg" for f, row in FAMILIES.items() if row.gg))
 
 
 def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
@@ -251,106 +325,65 @@ def build_family(family: str, data, tol: Tolerance = DEFAULT_TOL) -> BlockOperat
 
     data is a BaseForm for the musical families, symmetric for Jg/Fg (or
     AeManifoldData, whose g they use) and skew for Jom/Fom, and an
-    AeManifoldData for the J-dependent families.
+    AeManifoldData for the others.  Jphi and Fphi take data of either alpha.
     """
-    kind = FAMILY_BASE_KIND.get(family)
-    if kind in ("metric", "symplectic"):
+    row = FAMILIES.get(family)
+    if row is None:
+        raise UnknownFamilyError(f"unknown family {family!r}")
+    if row.base_kind in (SYMMETRIC, SKEW):
         b = data.g if isinstance(data, AeManifoldData) else data
-        want = SYMMETRIC if kind == "metric" else SKEW
-        if b.kind != want:
+        if b.kind != row.base_kind:
             raise UnknownFamilyError(
-                f"family {family!r} needs a {want} base form, not a {b.kind} one")
-        return build_musical(b, -1 if family[0] == "J" else +1, tol)
+                f"family {family!r} needs a {row.base_kind} base form, not a {b.kind} one")
+        return build_musical(b, row.param, tol)
     if not isinstance(data, AeManifoldData):
         raise UnknownFamilyError(f"family {family!r} needs (J, g) base data")
-    if kind is None:
-        raise UnknownFamilyError(f"unknown family {family!r}")
-    want_alpha = _BASE_KIND_ALPHA[kind]
-    if data.alpha != want_alpha:
-        raise UnknownFamilyError(f"family {family!r} needs alpha = {want_alpha}")
-    if "lam" in family:
-        return build_diagonal(data.J, +1 if family.endswith("+") else -1, tol)
-    if family.endswith(FLAT):
-        return build_triangular(data, FLAT, tol)
-    if family.endswith(SHARP):
-        return build_triangular(data, SHARP, tol)
+    if row.shape == MUSICAL:
+        return build_musical(base_fundamental(data), row.param, tol)
+    if data.alpha != row.alpha:
+        raise UnknownFamilyError(f"family {family!r} needs alpha = {row.alpha}")
+    if row.shape == DIAGONAL:
+        return build_diagonal(data.J, row.param, tol)
+    if row.shape == TRIANGULAR:
+        return build_triangular(data, row.param, tol)
     return build_mixed(data, tol)
 
 
-def _g0_conjugated(j: np.ndarray, lam: float = 1.0) -> np.ndarray:
-    """Gram of (u, v) -> G0(J X + xi, lam J Y + eta)."""
-    return _assemble(0, 0.5 * j.T, 0.5 * lam * j, 0)
+def _closed_form_gram(family: str, metric_id: str, data, tol: Tolerance) -> np.ndarray:
+    """The family's closed-form fundamental tensor u, v -> G(op u, v).
 
-
-def _closed_form_gram(family: str, with_metric: str, data, tol: Tolerance) -> np.ndarray:
-    """Independent closed form of the fundamental tensor, from base blocks."""
-    n = data.n
-    if isinstance(data, AeManifoldData):
-        g = data.g
-        j = data.J
-    else:
-        g = data
-        j = None
-    gm = g.gram
-    if with_metric == "G0":
-        if family in ("Jg", "Fg", "Jom", "Fom"):
+    From the base form g, J and phi = g(J., .), leaving out the terms of a 0:
+      G0: [[a g, J^T / 2], [c J / 2, d sharp^T g sharp]] for g0 = (a, c, d)
+      Gg: x G0 + y Omega0 + [[0, J^T], [q eps J, 0]]
+          + [[phi, 0], [0, k sharp_phi^T phi sharp_phi]] for gg = (x, y, q, k)
+    """
+    row = FAMILIES[family]
+    if metric_id == "G0":
+        a, c, d = row.g0
+        g = data.g if isinstance(data, AeManifoldData) else data
+        dual = 0
+        if d:
             _, sharp = musicals(g, tol)
-            # (g(X, Y) + s g(sharp xi, sharp eta)) / 2; the sign of the dual
-            # term flips between a metric and a symplectic g
-            s = -1.0 if family in ("Jg", "Fom") else +1.0
-            return _assemble(0.5 * gm, 0, 0, 0.5 * s * sharp.T @ gm @ sharp)
-        if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-"):
-            return _g0_conjugated(j, +1.0 if family.endswith("+") else -1.0)
-        if family in ("JJgFlat", "FFgFlat"):
-            return _g0_conjugated(j) + _assemble(0.5 * gm, 0, 0, 0)
-        if family in ("JJgSharp", "FFgSharp"):
-            _, sharp = musicals(g, tol)
-            return _g0_conjugated(j) + _assemble(0, 0, 0, 0.5 * sharp.T @ gm @ sharp)
-        if family in ("FJg", "JFg"):
-            _, sharp = musicals(g, tol)
-            half = sqrt(2.0) / 2.0
-            s = half if family == "FJg" else -half
-            return _g0_conjugated(j) + _assemble(half * gm, 0, 0, s * sharp.T @ gm @ sharp)
-    elif with_metric == "Gg":
-        if family == "Jg":
-            return -2.0 * omega0(n).gram
-        if family == "Fg":
-            return 2.0 * g0(n).gram
-        if family in ("Jphi", "Fphi"):
-            # -eps xi(J Y) + eta(J X) and eps xi(J Y) + eta(J X)
-            eps = float(data.epsilon)
-            return 2.0 * _g0_conjugated(j, -eps if family == "Jphi" else eps)
-        if family in ("JlamJ+", "JlamJ-", "FlamF+", "FlamF-", "FJg", "JFg"):
-            phi = base_fundamental(data)
-            _, sharp_phi = musicals(phi, tol)
-            dual = sharp_phi.T @ phi.gram @ sharp_phi
-            if family == "FJg":
-                return 2.0 * sqrt(2.0) * g0(n).gram + _assemble(phi.gram, 0, 0, dual)
-            if family == "JFg":
-                return -2.0 * sqrt(2.0) * omega0(n).gram + _assemble(phi.gram, 0, 0, dual)
-            lam = +1.0 if family.endswith("+") else -1.0
-            return _assemble(phi.gram, 0, 0, (-lam if family[0] == "J" else lam) * dual)
-    raise UnknownFamilyError(f"no closed form registered for {family!r} with {with_metric!r}")
-
-
-TWIN_FORMULA_FAMILIES = (
-    "Jg@G0", "Fg@G0", "Jom@G0", "Fom@G0",
-    "JlamJ+@G0", "JlamJ-@G0", "FlamF+@G0", "FlamF-@G0",
-    "JJgFlat@G0", "JJgSharp@G0", "FFgFlat@G0", "FFgSharp@G0",
-    "FJg@G0", "JFg@G0",
-    "Jg@Gg", "Fg@Gg", "Jphi@Gg", "Fphi@Gg",
-    "JlamJ+@Gg", "JlamJ-@Gg", "FlamF+@Gg", "FlamF-@Gg",
-    "FJg@Gg", "JFg@Gg",
-)
+            dual = d * sharp.T @ g.gram @ sharp
+        j_blocks = (0.5 * data.J.T, 0.5 * c * data.J) if c else (0, 0)
+        return _assemble(a * g.gram, *j_blocks, dual)
+    x, y, q, k = row.gg
+    gram = x * g0(data.n).gram + y * omega0(data.n).gram
+    if q:
+        gram = gram + _assemble(0, data.J.T, q * data.epsilon * data.J, 0)
+    if k:
+        phi = base_fundamental(data)
+        _, sharp_phi = musicals(phi, tol)
+        gram = gram + _assemble(phi.gram, 0, 0, k * sharp_phi.T @ phi.gram @ sharp_phi)
+    return gram
 
 
 def twin_formula_check(family: str, data, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Compare fundamental_tensor output against the closed-form expression.
 
-    family is "<op>@<metric>" with metric G0 or Gg, e.g. "Fg@Gg"; Jphi/Fphi
-    denote the musical structures built from the base fundamental tensor.
-    A built pair that is not an (alpha, epsilon)-structure within tol fails
-    the check rather than raising.
+    family is "<op>@<metric>" with metric G0 or Gg, e.g. "Fg@Gg".  A built
+    pair that is not an (alpha, epsilon)-structure within tol fails the check
+    rather than raising.
     """
     if family not in TWIN_FORMULA_FAMILIES:
         raise UnknownFamilyError(f"unknown twin-formula family {family!r}")
@@ -359,17 +392,12 @@ def twin_formula_check(family: str, data, tol: Tolerance = DEFAULT_TOL) -> bool:
         metric = g0(data.n)
     else:
         metric = induced_metric(data.g if isinstance(data, AeManifoldData) else data, tol)
-    if op_id in ("Jphi", "Fphi"):
-        phi = base_fundamental(data)
-        op = build_musical(phi, -1 if op_id == "Jphi" else +1, tol)
-    else:
-        op = build_family(op_id, data, tol)
+    op = build_family(op_id, data, tol)
     try:
         tensor = fundamental_tensor(op, metric, tol)
     except IncompatiblePairError:
         return False
-    expected = _closed_form_gram(op_id, metric_id, data, tol)
-    return close(tensor.form.gram, expected, tol)
+    return close(tensor.form.gram, _closed_form_gram(op_id, metric_id, data, tol), tol)
 
 
 # ---------------------------------------------------------------------------

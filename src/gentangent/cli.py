@@ -6,7 +6,7 @@ Input schema (matrices row-major, numbers as decimal doubles)::
 
     {"n": int,
      "operator":  {"H": [[...]], "sigma": [[...]], "tau": [[...]], "K": [[...]]},
-     "operator2": {... same shape, optional, for triple classification ...},
+     "operator2": {... same shape, optional, for triple classification; not with metric ...},
      "metric":    {"gram": [[...]], "kind": "symmetric"},
      "family":    "<optional family id>",
      "base":      {"g": [[...]], "J": [[...]], "omega": [[...]], "b": [[...]]}}
@@ -190,6 +190,8 @@ def _classify(doc, tol):
     if not isinstance(doc, dict):
         raise InputError("top level: expected a JSON object")
     n = _read_n(doc)
+    if "operator2" in doc and "metric" in doc:
+        raise InputError("operator2 (a triple) and metric (a pair) exclude each other")
     op = _resolve_operator(doc, n, tol)
     out = {"n": n, "operator": _operator_doc(op)}
     if "operator2" in doc:
@@ -315,13 +317,14 @@ def cmd_verify(args) -> int:
 
 
 def _default_base(family, n, seed):
-    from .ae_zoo import FAMILY_BASE_KIND
+    from .ae_zoo import FAMILIES
+    from .core import SKEW, SYMMETRIC
     from .generators import fixture_dim, random_ae_pair, random_metric, random_symplectic
 
-    kind = FAMILY_BASE_KIND[family]
-    if kind == "metric":
+    kind = FAMILIES[family].base_kind
+    if kind == SYMMETRIC:
         return random_metric(n, n, 0, seed)
-    if kind == "symplectic":
+    if kind == SKEW:
         return random_symplectic(fixture_dim(n), seed)
     return random_ae_pair(kind, fixture_dim(n, kind), seed)
 
@@ -370,7 +373,7 @@ def _write_fixtures(out_dir, docs) -> None:
 
 
 def cmd_fixtures(args) -> int:
-    from .ae_zoo import build_family
+    from .ae_zoo import FAMILIES, FLAT, build_family
     from .canonical import g0
     from .generators import (AE_KINDS, fixture_dim, random_ae_pair,
                              random_kahler_data, random_metric, random_symplectic)
@@ -386,7 +389,8 @@ def cmd_fixtures(args) -> int:
     for kind in AE_KINDS:
         m = fixture_dim(n, kind)
         data = random_ae_pair(kind, m, args.seed)
-        family = "JJgFlat" if data.alpha == -1 else "FFgFlat"
+        family = next(f for f, row in FAMILIES.items()
+                      if row.param == FLAT and row.alpha == data.alpha)
         op = build_family(family, data)
         docs[f"ae-{kind.lower()}"] = {
             "n": m, "seed": args.seed, "family": family,

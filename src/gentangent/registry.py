@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ae_zoo, triples
 from .ae_zoo import (
-    FAMILY_BASE_KIND,
     HERMITIAN,
     INCOMPATIBLE,
     INDEFINITE_HERMITIAN,
@@ -157,69 +156,54 @@ def _check_canonical_pair(n, trials, seed, tol):
 def _check_jg_g0_norden(n, trials, seed, tol):
     for t in range(trials):
         g = _random_signature_metric(n, _trial_seed(seed, t))
-        op = build_family("Jg", g, tol)
+        op = build_musical(g, -1, tol)
         cls = classify_pair(op, g0(n), tol)
         sq = op.assemble() @ op.assemble()
         yield ((cls.name, cls.alpha, cls.epsilon) != (NORDEN, -1, -1),
                _residual(sq, -np.eye(2 * n)))
 
 
-# Compatibility tables: family id -> (data kind that fits, data kind that
-# must come out Incompatible), against the canonical metric G0 or against
-# the induced metric Gg of the base data.
-_TRIANGULAR_CELLS = (
-    ("JJgFlat", HERMITIAN, NORDEN),
-    ("JJgSharp", HERMITIAN, NORDEN),
-    ("FFgFlat", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
-    ("FFgSharp", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
-)
-
-_MIXED_CELLS_G0 = (
-    ("FJg", HERMITIAN, NORDEN),
-    ("JFg", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
-)
-
-_MIXED_CELLS_GG = (
-    ("FJg", NORDEN, HERMITIAN),
-    ("JFg", PARA_HERMITIAN, PRODUCT_RIEMANNIAN),
-)
+def _fitting_kind(family, metric_id):
+    """Base data on which a family is compatible with the metric: its default
+    kind if that fits, otherwise the one kind that does."""
+    row = ae_zoo.FAMILIES[family]
+    fits = [k for k, c in row.classes(metric_id).items() if c != INCOMPATIBLE]
+    return row.base_kind if not fits or row.base_kind in fits else fits[0]
 
 
-def _iff_cases(cells, against_g0, n, trials, seed, tol):
-    for t in range(trials):
-        for i, (fam, good_kind, bad_kind) in enumerate(cells):
-            s = _trial_seed(seed, t * len(cells) + i)
-            good = random_ae_pair(good_kind, fixture_dim(n), s)
-            bad = random_ae_pair(bad_kind, fixture_dim(n), s + 1)
-            for data, want_ok in ((good, True), (bad, False)):
-                op = build_family(fam, data, tol)
-                metric = g0(data.n) if against_g0 else induced_metric(data.g, tol)
-                failed = (classify_pair(op, metric, tol).name != INCOMPATIBLE) != want_ok
-                yield failed, float(failed)
+def _iff_cells(shape, metric_id):
+    """(family, kind that fits, kind that must come out Incompatible) for each
+    family of the shape that the metric splits; the latter is the first such."""
+    cells = []
+    for family, row in ae_zoo.FAMILIES.items():
+        classes = row.classes(metric_id)
+        bad = [k for k, c in classes.items() if c == INCOMPATIBLE]
+        if row.shape == shape and 0 < len(bad) < len(classes):
+            cells.append((family, _fitting_kind(family, metric_id), bad[0]))
+    return cells
 
 
-def _check_triangular_iff(n, trials, seed, tol):
-    yield from _iff_cases(_TRIANGULAR_CELLS, True, n, trials, seed, tol)
-
-
-def _check_mixed_iff(n, trials, seed, tol):
-    yield from _iff_cases(_MIXED_CELLS_G0, True, n, trials, seed, tol)
-    yield from _iff_cases(_MIXED_CELLS_GG, False, n, trials, seed, tol)
-
-
-# Base data that satisfies each closed twin formula: the family's default
-# base data, except that FJg needs Norden data against Gg.
-_TWIN_DATA_KIND_G0 = dict(FAMILY_BASE_KIND, Jphi=HERMITIAN, Fphi=PARA_HERMITIAN)
-_TWIN_DATA_KIND_GG = dict(_TWIN_DATA_KIND_G0, FJg=NORDEN)
+def _check_iff(shape, n, trials, seed, tol):
+    for metric_id in ("G0", "Gg"):
+        cells = _iff_cells(shape, metric_id)
+        for t in range(trials):
+            for i, (fam, good_kind, bad_kind) in enumerate(cells):
+                s = _trial_seed(seed, t * len(cells) + i)
+                good = random_ae_pair(good_kind, fixture_dim(n), s)
+                bad = random_ae_pair(bad_kind, fixture_dim(n), s + 1)
+                for data, want_ok in ((good, True), (bad, False)):
+                    op = build_family(fam, data, tol)
+                    metric = g0(data.n) if metric_id == "G0" else induced_metric(data.g, tol)
+                    failed = (classify_pair(op, metric, tol).name != INCOMPATIBLE) != want_ok
+                    yield failed, float(failed)
 
 
 def _twin_data(family, n, seed):
     op_id, metric_id = family.split("@")
-    table = _TWIN_DATA_KIND_G0 if metric_id == "G0" else _TWIN_DATA_KIND_GG
-    kind = table[op_id]
-    if kind == "metric":
+    kind = _fitting_kind(op_id, metric_id)
+    if kind == SYMMETRIC:
         return _random_signature_metric(n, seed)
-    if kind == "symplectic":
+    if kind == SKEW:
         return random_symplectic(fixture_dim(n), seed)
     return random_ae_pair(kind, fixture_dim(n), seed)
 
@@ -248,15 +232,12 @@ def _check_f0_commutation(n, trials, seed, tol):
             yield triples.f0_commutation(op, tol) != want, res
 
 
-# base kind of the (J, g) data each named triple is built from, by its alpha
-_ALPHA_BASE_KIND = {alpha: kind for kind, alpha in ae_zoo._BASE_KIND_ALPHA.items()}
-
-
 def _check_canonical_triples(n, trials, seed, tol):
     names = triples.TRIPLE_NAMES
     for t in range(trials):
         for i, name in enumerate(names):
-            kind = _ALPHA_BASE_KIND[triples._TRIPLE_RECIPES[name][0]]
+            alpha = triples._TRIPLE_RECIPES[name][0]
+            kind = next(k for k, a in ae_zoo._KIND_ALPHA.items() if a == alpha)
             data = random_ae_pair(kind, fixture_dim(n),
                                   _trial_seed(seed, t * len(names) + i))
             first, second, third = triples.canonical_triple(name, data, tol)
@@ -276,7 +257,7 @@ def _check_mixed_decomposition(alpha, n, trials, seed, tol):
     for t in range(trials):
         data = random_ae_pair(kinds[t % 2], fixture_dim(n), _trial_seed(seed, t))
         mixed = build_mixed(data, tol).assemble()
-        musical = build_family("Fg" if alpha == -1 else "Jg", data.g, tol)
+        musical = build_musical(data.g, -alpha, tol)
         lam = data.epsilon if alpha == -1 else -data.epsilon
         expected = np.sqrt(2.0) * musical.assemble() + build_diagonal(
             data.J, lam, tol).assemble()
@@ -328,7 +309,7 @@ def _check_base_extraction(n, trials, seed, tol):
         s = _trial_seed(seed, t)
         om = random_symplectic(m, s)
         data = random_ae_pair(HERMITIAN, m, s + 1)
-        for op in (build_family("Jom", om, tol),
+        for op in (build_musical(om, -1, tol),
                    build_diagonal(data.J, -1, tol)):
             j = extract_base_complex(op, tol)
             res = _residual(j @ j, -ident)
@@ -356,10 +337,10 @@ _REGISTRY = {
         _check_jg_g0_norden),
     "P4.triangular-iff": (
         "triangular families are G0-compatible exactly for one epsilon sign",
-        _check_triangular_iff),
+        partial(_check_iff, ae_zoo.TRIANGULAR)),
     "P4.mixed-iff": (
         "mixed families are compatible exactly for one epsilon sign",
-        _check_mixed_iff),
+        partial(_check_iff, ae_zoo.MIXED)),
     "P4.twin-metrics": (
         "all closed twin-metric/fundamental-form formulas match",
         _check_twin_metrics),

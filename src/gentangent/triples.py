@@ -4,13 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ae_zoo import (
-    AeManifoldData,
-    base_fundamental,
-    build_diagonal,
-    build_musical,
-    isometry_sign,
-)
+from .ae_zoo import AeManifoldData, build_diagonal, build_family, isometry_sign
 from .canonical import f0, g0
 from .core import (
     SKEW,
@@ -116,9 +110,9 @@ TRIPLE_NAMES = (
     "biC-product",
 )
 
-# name -> (required alpha, member recipe); members reference the operators
-# built from (J, g): musical structures of g and of the fundamental tensor,
-# and diagonal structures with lambda = +/-eps.
+# name -> (required alpha, member recipe); a member is a family of
+# ae_zoo.FAMILIES built from (J, g), or the diagonal structure with
+# lambda = +/-eps; a leading "-" negates it.
 _TRIPLE_RECIPES = {
     "hyperC": (-1, ("Jg", "diag+", "Jphi"), HYPERCOMPLEX),
     "biC-phi": (-1, ("Jg", "diag-", "Fphi"), BICOMPLEX),
@@ -133,21 +127,12 @@ _TRIPLE_RECIPES = {
 
 def _triple_member(token: str, data: AeManifoldData, tol: Tolerance) -> BlockOperator:
     negate = token.startswith("-")
-    if negate:
-        token = token[1:]
-    if token == "Jg":
-        op = build_musical(data.g, -1, tol)
-    elif token == "Fg":
-        op = build_musical(data.g, +1, tol)
-    elif token == "Jphi":
-        op = build_musical(base_fundamental(data), -1, tol)
-    elif token == "Fphi":
-        op = build_musical(base_fundamental(data), +1, tol)
-    elif token in ("diag+", "diag-"):
+    token = token.removeprefix("-")
+    if token in ("diag+", "diag-"):
         lam = data.epsilon if token == "diag+" else -data.epsilon
         op = build_diagonal(data.J, lam, tol)
     else:
-        raise UnknownFamilyError(f"unknown triple member {token!r}")
+        op = build_family(token, data, tol)
     return op.neg() if negate else op
 
 

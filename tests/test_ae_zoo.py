@@ -14,21 +14,21 @@ from gentangent.ae_zoo import (
 
 
 def test_classify_pair_model_kinds():
+    # diag(J, eps J^T) against Gg = [[g, 0], [0, g^-1]] keeps the data's alpha
+    # and eps, and Gg's signature doubles g's.  ProductRiemannian data at even
+    # n has +1 and -1 eigenspaces of equal dimension, so ParaNorden.
     expectations = {
-        "Hermitian": ("Hermitian", -1, 1),
-        "IndefiniteHermitian": ("IndefiniteHermitian", -1, 1),
-        "Norden": ("Norden", -1, -1),
-        "ParaHermitian": ("ParaHermitian", 1, -1),
-        "ProductRiemannian": ("ProductRiemannian", 1, 1),
+        "Hermitian": ("Hermitian", -1, 1, (4, 0)),
+        "IndefiniteHermitian": ("IndefiniteHermitian", -1, 1, (4, 4)),
+        "Norden": ("Norden", -1, -1, (2, 2)),
+        "ParaHermitian": ("ParaHermitian", 1, -1, (2, 2)),
+        "ProductRiemannian": ("ParaNorden", 1, 1, (4, 0)),
     }
-    for kind, (name, alpha, eps) in expectations.items():
+    for kind, expected in expectations.items():
         n = 4 if kind == "IndefiniteHermitian" else 2
         data = gt.random_ae_pair(kind, n, seed=8)
         op = gt.build_diagonal(data.J, data.epsilon)
-        cls = gt.classify_pair(op, gt.induced_metric(data.g))
-        assert (cls.alpha) == alpha
-        # the structure lives on the doubled fiber; only alpha carries over
-        assert cls.name != INCOMPATIBLE
+        assert tuple(gt.classify_pair(op, gt.induced_metric(data.g))) == expected
 
 
 def test_classify_pair_canonical_examples():

@@ -171,6 +171,9 @@ def test_build_unknown_family_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["build", "nope"])
     assert code == 2
     assert "Jg" in err
+    # the musical structures of phi are families of the table, not of the CLI
+    code, _, err = run_cli(capsys, monkeypatch, ["build", "Jphi"])
+    assert code == 2 and "unknown family 'Jphi'" in err
 
 
 def test_fixtures_dump(tmp_path, capsys, monkeypatch):
@@ -447,3 +450,19 @@ def test_base_form_not_of_its_kind_exits_2(capsys, monkeypatch, family, base, me
     code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
                              json.dumps({"n": 2, "family": family, "base": base}))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_classify_operator2_with_metric_exits_2_naming_both(capsys, monkeypatch):
+    # a triple report and a pair class answer different documents; answering
+    # one would drop the other key without a word
+    doc = {"n": 1, "operator": {"H": [[0]], "sigma": [[-1]], "tau": [[1]], "K": [[0]]},
+           "operator2": {"H": [[-1]], "sigma": [[0]], "tau": [[0]], "K": [[1]]},
+           "metric": {"gram": [[0, 0.5], [0.5, 0]], "kind": "symmetric"}}
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["classify", "-", "--format", "json"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert "operator2" in err and "metric" in err
+    del doc["metric"]
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["classify", "-", "--format", "json"], json.dumps(doc))
+    assert code == 0 and "triple" in json.loads(out)
