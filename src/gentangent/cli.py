@@ -11,11 +11,14 @@ Input schema (matrices row-major, numbers as decimal doubles)::
      "family":    "<optional family id>",
      "base":      {"g": [[...]], "J": [[...]], "omega": [[...]], "b": [[...]]}}
 
-A family id plus base data may replace the explicit operator blocks.
-Classification output echoes the input document with the classification
-fields merged in at top level, so it can be re-ingested unchanged.
+A family id plus base data may replace the explicit operator blocks; given
+next to them (as ``build`` writes it), the built operator must match the
+blocks.  Classification output holds n, the operator it classified (the
+blocks, or the one built from family and base), operator2 or metric, and
+the classification fields at top level, so it can be re-ingested unchanged.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+141 stdout closed by its reader (as a shell reports a writer killed by SIGPIPE).
 ``GENTANGENT_TOL`` overrides the default tolerance.
 
 argv is parsed before anything beyond the standard library is imported, and
@@ -169,18 +172,27 @@ def _operator_doc(op) -> dict:
 
 def _resolve_operator(doc, n, tol):
     from .ae_zoo import FAMILY_IDS, build_family
+    from .core import close
 
-    if "operator" in doc:
+    if "family" not in doc:
+        if "operator" not in doc:
+            raise InputError("document has neither operator blocks nor a family id")
+        if "base" in doc:
+            raise InputError("base data next to operator blocks needs a family id")
         return _read_operator(doc["operator"], n)
-    if "family" in doc:
-        if "base" not in doc:
-            raise InputError("a family id needs base data")
-        family = doc["family"]
-        if family not in FAMILY_IDS:
-            raise InputError(
-                f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
-        return build_family(family, _read_base(doc["base"], n, tol), tol)
-    raise InputError("document has neither operator blocks nor a family id")
+    if "base" not in doc:
+        raise InputError("a family id needs base data")
+    family = doc["family"]
+    if family not in FAMILY_IDS:
+        raise InputError(
+            f"unknown family {family!r}; known: {', '.join(FAMILY_IDS)}")
+    built = build_family(family, _read_base(doc["base"], n, tol), tol)
+    if "operator" not in doc:
+        return built
+    op = _read_operator(doc["operator"], n)
+    if not close(op.matrix, built.matrix, tol):
+        raise InputError(f"operator and family {family!r} built from base disagree")
+    return op
 
 
 def _classify(doc, tol):
@@ -473,6 +485,11 @@ def main(argv=None) -> int:
     except (InputError, GentangentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered, and the flush at
+        # exit, to devnull instead of a second BrokenPipeError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -47,30 +47,26 @@ class TripleReport(NamedTuple):
     product: BlockOperator | None = None  # K = FJ
 
 
-def f0_commutation(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> str:
-    """Commutation of op with the paracomplex flip, via the block criterion.
+def _commutation(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> int | None:
+    """+1 if a b = b a, -1 if a b = -b a, else None; commuting wins where both fit."""
+    ab, ba = a @ b, b @ a
+    if close(ab, ba, tol):
+        return +1
+    if close(ab, -ba, tol):
+        return -1
+    return None
 
-    Commutes iff sigma = tau = 0, anti-commutes iff H = K = 0; the direct
-    commutator is evaluated as a cross-check of the block rule.
+
+def f0_commutation(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> str:
+    """Commutation of op with the paracomplex flip F0 = diag(-I, I).
+
+    Both products are exact, so F0 M - M F0 = 2 [[0, -sigma], [tau, 0]] and
+    F0 M + M F0 = 2 [[-H, 0], [0, K]] bit for bit: the commutator test is the
+    block criterion (commutes iff sigma = tau = 0, anti-commutes iff H = K =
+    0), measured against ||M||.
     """
-    zero = np.zeros((op.n, op.n))
-    by_blocks = NEITHER_COMMUTATION
-    if close(op.sigma, zero, tol) and close(op.tau, zero, tol):
-        by_blocks = COMMUTES
-    elif close(op.H, zero, tol) and close(op.K, zero, tol):
-        by_blocks = ANTI_COMMUTES
-    f = f0(op.n).assemble()
-    m = op.assemble()
-    by_commutator = NEITHER_COMMUTATION
-    if close(f @ m, m @ f, tol):
-        by_commutator = COMMUTES
-    elif close(f @ m, -(m @ f), tol):
-        by_commutator = ANTI_COMMUTES
-    # degenerate operators (e.g. 0 blocks everywhere) satisfy both; the block
-    # rule takes precedence there, and the two tests agree on proper inputs
-    if by_blocks != by_commutator and NEITHER_COMMUTATION in (by_blocks, by_commutator):
-        return NEITHER_COMMUTATION
-    return by_blocks
+    sign = _commutation(f0(op.n).assemble(), op.assemble(), tol)
+    return {+1: COMMUTES, -1: ANTI_COMMUTES, None: NEITHER_COMMUTATION}[sign]
 
 
 def classify_triple(first: BlockOperator, second: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> TripleReport:
@@ -81,12 +77,8 @@ def classify_triple(first: BlockOperator, second: BlockOperator, tol: Tolerance 
     pc_j = polynomial_class(second, tol)
     if pc_f.kind == "neither" or pc_j.kind == "neither":
         return TripleReport(NO_TRIPLE)
-    fm, jm = first.assemble(), second.assemble()
-    if close(jm @ fm, fm @ jm, tol):
-        lam = +1
-    elif close(jm @ fm, -(fm @ jm), tol):
-        lam = -1
-    else:
+    lam = _commutation(second.assemble(), first.assemble(), tol)
+    if lam is None:
         return TripleReport(NO_TRIPLE)
     product = first.compose(second)
     if pc_f.kind == "complex" and pc_j.kind == "complex":
@@ -162,10 +154,8 @@ def combine(a: float, b: float, c: float, triple, tol: Tolerance = DEFAULT_TOL):
     if polynomial_class(third, tol).kind != "complex":
         raise NotAnticommutingError("third member must be almost complex")
     tm = third.assemble()
-    for other in (first, second):
-        om = other.assemble()
-        if not close(om @ tm, -(tm @ om), tol):
-            raise NotAnticommutingError("triple is not pairwise anti-commuting")
+    if any(_commutation(other.assemble(), tm, tol) != -1 for other in (first, second)):
+        raise NotAnticommutingError("triple is not pairwise anti-commuting")
     combo = first.scale(a).add(second.scale(b)).add(third.scale(c))
     return combo, polynomial_class(combo, tol)
 
@@ -195,7 +185,7 @@ def is_almost_kahler(j1: BlockOperator, j2: BlockOperator, tol: Tolerance = DEFA
     if isometry_sign(j1, metric0, tol) != +1 or isometry_sign(j2, metric0, tol) != +1:
         return False, None
     m1, m2 = j1.assemble(), j2.assemble()
-    if not close(m1 @ m2, m2 @ m1, tol):
+    if _commutation(m1, m2, tol) != +1:
         return False, None
     inducer = BlockOperator.from_matrix(-(m1 @ m2))
     form, report = metric_from_endomorphism(inducer, tol)

@@ -1,11 +1,14 @@
-"""Block multiplication rules for [[H, sigma], [tau, K]] operators.
+"""Block rules for [[H, sigma], [tau, K]] operators.
 
 The library composes, combines and applies operators as dense 2n x 2n
-matrices.  These functions redo the same arithmetic block by block, so the
-tests can check the dense path against an independent reference.
+matrices, and decides commutation with the flip F0 from dense products.
+These functions redo the same work block by block, so the tests can check
+the dense path against an independent reference.
 """
 
 import numpy as np
+
+from gentangent.triples import ANTI_COMMUTES, COMMUTES, NEITHER_COMMUTATION
 
 
 def compose_by_blocks(a, b) -> np.ndarray:
@@ -29,3 +32,14 @@ def apply_by_blocks(op, coords) -> np.ndarray:
     n = op.n
     x, xi = coords[:n], coords[n:]
     return np.concatenate([op.H @ x + op.sigma @ xi, op.tau @ x + op.K @ xi])
+
+
+def f0_commutation_by_blocks(op) -> str:
+    """The paper's block criterion, exactly: op commutes with F0 = diag(-I, I)
+    iff sigma = tau = 0 and anti-commutes iff H = K = 0; the zero operator
+    commutes."""
+    if not op.sigma.any() and not op.tau.any():
+        return COMMUTES
+    if not op.H.any() and not op.K.any():
+        return ANTI_COMMUTES
+    return NEITHER_COMMUTATION

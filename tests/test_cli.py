@@ -1,11 +1,18 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gentangent as gt
 from gentangent import cli
+
+SRC = str(Path(gt.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, monkeypatch, args, stdin=None):
@@ -466,3 +473,57 @@ def test_classify_operator2_with_metric_exits_2_naming_both(capsys, monkeypatch)
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["classify", "-", "--format", "json"], json.dumps(doc))
     assert code == 0 and "triple" in json.loads(out)
+
+
+def test_classify_operator_next_to_family_and_base_must_match(capsys, monkeypatch):
+    # a family built from base data that disagrees with the blocks beside it
+    # was dropped without a word, and the blocks classified
+    doc = {"n": 1, "operator": {"H": [[0]], "sigma": [[-1]], "tau": [[1]], "K": [[0]]},
+           "family": "Fg", "base": {"g": [[1]]},
+           "metric": {"gram": [[0, 0.5], [0.5, 0]], "kind": "symmetric"}}
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["classify", "-", "--format", "json"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert "operator" in err and "family 'Fg'" in err
+    # the blocks next to a family id are what build writes: they must agree
+    doc["family"] = "Jg"
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["classify", "-", "--format", "json"], json.dumps(doc))
+    assert code == 0 and json.loads(out)["class"] == "Norden"
+    for key in ("family", "base"):
+        partial = {k: v for k, v in doc.items() if k != key}
+        code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(partial))
+        assert (code, out) == (2, "") and "base" in err
+
+
+@pytest.mark.parametrize("family", ["Jom", "JJgFlat", "FJg"])
+def test_build_output_with_family_and_base_classifies(capsys, monkeypatch, family):
+    code, out, _ = run_cli(capsys, monkeypatch,
+                           ["build", family, "--dim", "4", "--seed", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    code, out, _ = run_cli(capsys, monkeypatch, ["classify", "-", "--format", "json"], out)
+    assert code == 0 and json.loads(out)["operator"] == doc["operator"]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 165 kB of output, past a pipe's buffer: the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    with subprocess.Popen(
+            [sys.executable, "-c", "import sys; from gentangent.cli import main; sys.exit(main())",
+             "build", "Jom", "--dim", "48", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert head.startswith(b'{"n": 48')
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_in_process_main_with_a_stringio_stdout_returns_its_code():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["build", "Jom", "--dim", "4", "--seed", "1"]) == 0
+    assert json.loads(out.getvalue())["n"] == 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gentangent as gt
+from block_rules import f0_commutation_by_blocks
 from gentangent.triples import (
     ANTI_COMMUTES,
     BICOMPLEX,
@@ -22,6 +23,47 @@ def test_f0_commutation_block_criterion():
     assert gt.f0_commutation(gt.BlockOperator(zero, a, b, zero)) == ANTI_COMMUTES
     generic = gt.BlockOperator(a, b, rng.matrix(n, n), rng.matrix(n, n))
     assert gt.f0_commutation(generic) == NEITHER_COMMUTATION
+
+
+@pytest.mark.parametrize("n", (1, 3, 8))
+def test_f0_commutation_is_the_block_rule_at_every_scale(n):
+    """Exact zero blocks decide; the verdict does not move with 10^k."""
+    for seed in range(20):
+        rng = gt.SplitMix64(seed)
+        h, s, t, k = (rng.matrix(n, n) for _ in range(4))
+        for op in (gt.BlockOperator(h, 0, 0, k), gt.BlockOperator(0, s, t, 0),
+                   gt.BlockOperator(h, s, t, k)):
+            for e in range(-4, 9):
+                scaled = op.scale(10.0**e)
+                assert gt.f0_commutation(scaled) == f0_commutation_by_blocks(scaled), (seed, e)
+
+
+def _sweep_base(family, seed):
+    if family == "Jg":
+        return gt.random_metric(4, 4, 0, seed)
+    if family == "Jom":
+        return gt.random_symplectic(4, seed)
+    return gt.random_ae_pair("Hermitian", 4, seed)
+
+
+@pytest.mark.parametrize("family, want", (("JlamJ+", COMMUTES), ("JlamJ-", COMMUTES),
+                                          ("Jg", ANTI_COMMUTES), ("Jom", ANTI_COMMUTES)))
+def test_f0_commutation_scale_invariant_after_b_field_round_trip(family, want):
+    """e^B (e^-B M e^B) e^-B is M up to roundoff in every block, of order
+    ||B||^2 ||M|| u; an absolute test on the blocks that should vanish
+    answers Neither once 10^k lifts that roundoff past it."""
+    n = 4
+    ident, zero = np.eye(n), np.zeros((n, n))
+    for seed in range(20):
+        r = np.round(4 * gt.SplitMix64(1000 + seed).matrix(n, n))
+        b = r - r.T
+        e_b = np.block([[ident, zero], [b, ident]])
+        e_minus_b = np.block([[ident, zero], [-b, ident]])
+        m = gt.build_family(family, _sweep_base(family, seed)).assemble()
+        carried = e_b @ (e_minus_b @ m @ e_b) @ e_minus_b
+        for k in range(9):
+            op = gt.BlockOperator.from_matrix(10.0**k * carried)
+            assert gt.f0_commutation(op) == want, (seed, k)
 
 
 def test_classify_triple_kinds():

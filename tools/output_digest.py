@@ -10,9 +10,16 @@ digest covers the exit code, stdout and stderr of every run in its group:
 
 - ``verify all --format json`` at seeds 1-8, for ``--dim 3 --trials 100``,
   ``--dim 8 --trials 5`` and ``--dim 32 --trials 3``, with each report's
-  ``elapsed`` removed
+  ``elapsed`` removed; and, the same way, two runs that fail checks:
+  ``--dim 3 --trials 100 --seed 2036071567`` and
+  ``--dim 3 --trials 3 --seed 5 --tol 1e-13``
 - ``build <family> --dim {2,8,32} --seed {1,2,3}`` over every family, and the
-  ``classify - --format json`` of each build's output
+  ``classify - --format json`` of each build's output; then both again at
+  ``--dim {1,4,5}``
+- ``classify - --format json`` of an operator + operator2 document for each
+  ordered pair of members of the eight named triples, built by
+  ``canonical_triple`` from Hermitian or para-Hermitian data at n in {2, 4}
+  and seeds 1-3
 - the files that ``fixtures --dim {1,2,3,5,8} --seed {1,2}`` writes, by name
   and content (the paths it prints name a temporary directory)
 
@@ -30,8 +37,13 @@ import tempfile
 
 VERIFY_RUNS = ((3, 100), (8, 5), (32, 3))
 SEEDS = range(1, 9)
+FAILING_VERIFY_RUNS = (("--dim", "3", "--trials", "100", "--seed", "2036071567"),
+                       ("--dim", "3", "--trials", "3", "--seed", "5", "--tol", "1e-13"))
 BUILD_DIMS = (2, 8, 32)
+MORE_BUILD_DIMS = (1, 4, 5)
 BUILD_SEEDS = (1, 2, 3)
+TRIPLE_DIMS = (2, 4)
+TRIPLE_SEEDS = (1, 2, 3)
 FIXTURE_DIMS = (1, 2, 3, 5, 8)
 FIXTURE_SEEDS = (1, 2)
 
@@ -67,26 +79,61 @@ def digest(records):
     return h.hexdigest()
 
 
-def groups(main, family_ids):
-    """(group name, records) in a fixed order."""
-    for dim, trials in VERIFY_RUNS:
-        records = []
-        for seed in SEEDS:
-            code, out, err = run(main, ["verify", "all", "--format", "json", "--dim",
-                                        str(dim), "--trials", str(trials),
-                                        "--seed", str(seed)])
-            records.append((code, without_elapsed(out), err))
-        yield f"verify --dim {dim} --trials {trials}", records
+def verify(main, args):
+    code, out, err = run(main, ["verify", "all", "--format", "json", *args])
+    return code, without_elapsed(out), err
+
+
+def build_and_classify(main, family_ids, dims):
     built, classified = [], []
     for family in family_ids:
-        for dim in BUILD_DIMS:
+        for dim in dims:
             for seed in BUILD_SEEDS:
                 result = run(main, ["build", family, "--dim", str(dim), "--seed", str(seed)])
                 built.append(result)
                 classified.append(run(main, ["classify", "-", "--format", "json"],
                                       stdin=result[1]))
+    return built, classified
+
+
+def triple_documents():
+    """operator + operator2 documents for every ordered pair of triple members."""
+    from gentangent.errors import WrongAlphaError
+    from gentangent.generators import random_ae_pair
+    from gentangent.triples import TRIPLE_NAMES, canonical_triple
+
+    def blocks(op):
+        return {"H": op.H.tolist(), "sigma": op.sigma.tolist(),
+                "tau": op.tau.tolist(), "K": op.K.tolist()}
+
+    for name in TRIPLE_NAMES:
+        for n in TRIPLE_DIMS:
+            for seed in TRIPLE_SEEDS:
+                try:
+                    members = canonical_triple(name, random_ae_pair("Hermitian", n, seed))
+                except WrongAlphaError:
+                    members = canonical_triple(name, random_ae_pair("ParaHermitian", n, seed))
+                for first in members:
+                    for second in members:
+                        yield json.dumps({"n": n, "operator": blocks(first),
+                                          "operator2": blocks(second)})
+
+
+def groups(main, family_ids):
+    """(group name, records) in a fixed order."""
+    for dim, trials in VERIFY_RUNS:
+        records = [verify(main, ["--dim", str(dim), "--trials", str(trials),
+                                 "--seed", str(seed)]) for seed in SEEDS]
+        yield f"verify --dim {dim} --trials {trials}", records
+    yield "verify, failing runs", [verify(main, args) for args in FAILING_VERIFY_RUNS]
+    built, classified = build_and_classify(main, family_ids, BUILD_DIMS)
     yield "build", built
     yield "build | classify", classified
+    built, classified = build_and_classify(main, family_ids, MORE_BUILD_DIMS)
+    yield "build --dim 1,4,5", built
+    yield "build --dim 1,4,5 | classify", classified
+    yield "classify triples", [run(main, ["classify", "-", "--format", "json"], stdin=doc)
+                               for doc in triple_documents()]
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for dim in FIXTURE_DIMS:
