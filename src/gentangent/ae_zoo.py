@@ -226,13 +226,32 @@ def build_mixed(data: AeManifoldData, tol: Tolerance = DEFAULT_TOL) -> BlockOper
 
 
 # ---------------------------------------------------------------------------
+# The kind table: each fact about a kind of (J, g) base data, stated once.
+
+
+class _Kind(NamedTuple):
+    """J^2 = alpha I and J^T g J = epsilon g; dim is the one dimension the
+    kind's fixtures are drawn at, or None for the requested one."""
+
+    alpha: int
+    epsilon: int
+    dim: int | None
+
+
+# in the order the registry's case seeds follow
+KINDS = {
+    HERMITIAN: _Kind(-1, +1, None),
+    INDEFINITE_HERMITIAN: _Kind(-1, +1, 4),  # the least dimension it exists in
+    NORDEN: _Kind(-1, -1, None),
+    PARA_HERMITIAN: _Kind(+1, -1, None),
+    PRODUCT_RIEMANNIAN: _Kind(+1, +1, None),
+}
+
+
+# ---------------------------------------------------------------------------
 # The family table: each fact about an operator family, stated once.
 
 MUSICAL, DIAGONAL, TRIANGULAR, MIXED = "musical", "diagonal", "triangular", "mixed"
-
-# alpha of each kind of (J, g) base data, in the order of generators.AE_KINDS
-_KIND_ALPHA = {HERMITIAN: -1, INDEFINITE_HERMITIAN: -1, NORDEN: -1,
-               PARA_HERMITIAN: +1, PRODUCT_RIEMANNIAN: +1}
 
 
 class _Family(NamedTuple):
@@ -244,16 +263,16 @@ class _Family(NamedTuple):
     g0: tuple | None = None  # closed-form tensor against G0, see _closed_form_gram
     gg: tuple | None = None  # and against Gg
     on_g0: tuple = ()  # class against G0 on each kind of (J, g) data of its alpha
-    on_gg: tuple = ()  # and against Gg, both in _KIND_ALPHA order
+    on_gg: tuple = ()  # and against Gg, both in KINDS order
 
     @property
     def alpha(self):
         """alpha of the family's default (J, g) data; None for a lone form."""
-        return _KIND_ALPHA.get(self.base_kind)
+        return KINDS[self.base_kind].alpha if self.base_kind in KINDS else None
 
     def classes(self, metric_id: str) -> dict:
         """{kind of (J, g) data: class} against "G0" or "Gg"."""
-        kinds = [k for k, a in _KIND_ALPHA.items() if a == self.alpha]
+        kinds = [k for k, row in KINDS.items() if row.alpha == self.alpha]
         return dict(zip(kinds, self.on_g0 if metric_id == "G0" else self.on_gg))
 
 

@@ -19,7 +19,10 @@ the classification fields at top level, so it can be re-ingested unchanged.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 stdout closed by its reader (as a shell reports a writer killed by SIGPIPE).
-``GENTANGENT_TOL`` overrides the default tolerance.
+``--format`` (table or json) is an option of ``classify`` and ``verify``;
+``build`` prints JSON.  ``--tol`` is an option of ``classify``, ``verify`` and
+``build``, and ``GENTANGENT_TOL`` overrides their default tolerance;
+``fixtures`` always builds at the default.
 
 argv is parsed before anything beyond the standard library is imported, and
 each command imports only the modules it uses, so ``--help`` and usage errors
@@ -328,19 +331,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _default_base(family, n, seed):
-    from .ae_zoo import FAMILIES
-    from .core import SKEW, SYMMETRIC
-    from .generators import fixture_dim, random_ae_pair, random_metric, random_symplectic
-
-    kind = FAMILIES[family].base_kind
-    if kind == SYMMETRIC:
-        return random_metric(n, n, 0, seed)
-    if kind == SKEW:
-        return random_symplectic(fixture_dim(n), seed)
-    return random_ae_pair(kind, fixture_dim(n, kind), seed)
-
-
 def _base_doc(base) -> dict:
     from .ae_zoo import AeManifoldData
     from .core import SKEW
@@ -353,7 +343,7 @@ def _base_doc(base) -> dict:
 
 
 def cmd_build(args) -> int:
-    from .ae_zoo import FAMILY_IDS, build_family
+    from .ae_zoo import FAMILIES, FAMILY_IDS, build_family
 
     tol = _tolerance(args)
     if args.family not in FAMILY_IDS:
@@ -367,7 +357,9 @@ def cmd_build(args) -> int:
         n = _read_n(doc)
         base = _read_base(doc["base"], n, tol)
     else:
-        base = _default_base(args.family, args.dim, args.seed)
+        from .generators import random_base
+
+        base = random_base(FAMILIES[args.family].base_kind, args.dim, args.seed)
     op = build_family(args.family, base, tol)
     out = {"n": op.n, "family": args.family, "base": _base_doc(base),
            "operator": _operator_doc(op)}
@@ -385,34 +377,32 @@ def _write_fixtures(out_dir, docs) -> None:
 
 
 def cmd_fixtures(args) -> int:
-    from .ae_zoo import FAMILIES, FLAT, build_family
+    from .ae_zoo import FAMILIES, FLAT, KINDS, build_family
     from .canonical import g0
-    from .generators import (AE_KINDS, fixture_dim, random_ae_pair,
-                             random_kahler_data, random_metric, random_symplectic)
+    from .core import SKEW, SYMMETRIC
+    from .generators import fixture_dim, random_base, random_kahler_data
 
     n = args.dim
-    even = fixture_dim(n)
     docs = {}
-    g = random_metric(n, n, 0, args.seed)
+    g = random_base(SYMMETRIC, n, args.seed)
     docs["metric"] = {"n": n, "seed": args.seed, "base": {"g": g.gram.tolist()}}
-    om = random_symplectic(even, args.seed)
-    docs["symplectic"] = {"n": even, "seed": args.seed,
+    om = random_base(SKEW, n, args.seed)
+    docs["symplectic"] = {"n": om.n, "seed": args.seed,
                           "base": {"omega": om.gram.tolist()}}
-    for kind in AE_KINDS:
-        m = fixture_dim(n, kind)
-        data = random_ae_pair(kind, m, args.seed)
+    for kind in KINDS:
+        data = random_base(kind, n, args.seed)
         family = next(f for f, row in FAMILIES.items()
                       if row.param == FLAT and row.alpha == data.alpha)
         op = build_family(family, data)
         docs[f"ae-{kind.lower()}"] = {
-            "n": m, "seed": args.seed, "family": family,
+            "n": data.n, "seed": args.seed, "family": family,
             "base": _base_doc(data),
             "operator": _operator_doc(op),
-            "metric": {"gram": g0(m).gram.tolist(), "kind": "symmetric"},
+            "metric": {"gram": g0(data.n).gram.tolist(), "kind": "symmetric"},
         }
-    kd = random_kahler_data(even, args.seed)
+    kd = random_kahler_data(fixture_dim(n), args.seed)
     docs["kahler"] = {
-        "n": even, "seed": args.seed,
+        "n": kd.n, "seed": args.seed,
         "base": {"g": kd.g.gram.tolist(), "J": kd.J1.tolist(),
                  "b": kd.b.tolist()},
         "kahler": {"b": kd.b.tolist(), "g": kd.g.gram.tolist(),
@@ -441,10 +431,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Classify, verify and build structures on the fiber V + V*.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--tol", type=float, default=None,
                        help="absolute and relative tolerance (default 1e-9)")
-        p.add_argument("--format", choices=("table", "json"), default="table")
+        if formats:
+            p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("classify", help="classify a JSON-described structure")
     p.add_argument("input", nargs="?", default=None,
@@ -466,14 +457,13 @@ def _parser() -> argparse.ArgumentParser:
                    help="JSON with base data ('-' for stdin); default: seeded random base")
     p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=42)
-    common(p)
+    common(p, formats=False)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("fixtures", help="dump seeded generator fixtures")
     p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="fixtures")
-    common(p)
     p.set_defaults(func=cmd_fixtures)
     return parser
 

@@ -38,6 +38,7 @@ import numpy as np
 from .ae_zoo import (
     HERMITIAN,
     INDEFINITE_HERMITIAN,
+    KINDS,
     NORDEN,
     PARA_HERMITIAN,
     PRODUCT_RIEMANNIAN,
@@ -45,9 +46,6 @@ from .ae_zoo import (
 )
 from .core import _UNIT_ROUNDOFF, SKEW, SYMMETRIC, BaseForm, _assemble
 from .errors import DimensionError
-
-# the kinds of (J, g) model pair, named as the families they belong to
-AE_KINDS = (HERMITIAN, INDEFINITE_HERMITIAN, NORDEN, PARA_HERMITIAN, PRODUCT_RIEMANNIAN)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -204,15 +202,10 @@ def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDIT
 
 
 def fixture_dim(n: int, kind: str | None = None) -> int:
-    """Dimension at which fixtures are drawn for a requested dimension n.
-
-    Every fixture but a plain metric needs an even dimension, so an odd n is
-    rounded up; indefinite Hermitian data (``kind``) is always drawn at 4,
-    the least dimension it exists in.
-    """
-    if kind == INDEFINITE_HERMITIAN:
-        return 4
-    return n + n % 2
+    """Dimension at which fixtures are drawn for a requested dimension n: the
+    one that ``ae_zoo.KINDS`` fixes for the kind, if any, else n rounded up
+    to even, as every fixture but a plain metric needs."""
+    return (kind in KINDS and KINDS[kind].dim) or n + n % 2
 
 
 def random_metric(n: int, r: int, s: int, seed: int) -> BaseForm:
@@ -241,43 +234,41 @@ def _standard_complex(n: int) -> np.ndarray:
     return _assemble(0, -np.eye(m), np.eye(m), 0)
 
 
-def _frozen(j, g, alpha, eps):
+def _frozen(j, g):
     """The model pair with its matrices marked read-only, for the cache."""
-    j.flags.writeable = False
-    g.flags.writeable = False
-    return j, g, alpha, eps
+    j.flags.writeable = g.flags.writeable = False
+    return j, g
 
 
 @functools.lru_cache(maxsize=128)
 def _model_pair(kind: str, n: int):
-    """Exactly compatible (J, g, alpha, eps) on the standard fiber, read-only."""
+    """Exactly compatible (J, g) of a kind of ``ae_zoo.KINDS``, read-only."""
     m = n // 2
     if kind == HERMITIAN:
         if n % 2 != 0:
             raise DimensionError("Hermitian data needs even dimension")
-        return _frozen(_standard_complex(n), np.eye(n), -1, +1)
+        return _frozen(_standard_complex(n), np.eye(n))
     if kind == INDEFINITE_HERMITIAN:
         if n % 4 != 0:
             # the invariant metric splits J-stable planes, forcing even r and s
             raise DimensionError("indefinite Hermitian data needs dimension divisible by 4")
         a = np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(m)])
-        return _frozen(_standard_complex(n), _assemble(a, 0, 0, a), -1, +1)
+        return _frozen(_standard_complex(n), _assemble(a, 0, 0, a))
     if kind == NORDEN:
         if n % 2 != 0:
             raise DimensionError("Norden data needs even dimension")
-        return _frozen(_standard_complex(n), _assemble(np.eye(m), 0, 0, -np.eye(m)), -1, -1)
+        return _frozen(_standard_complex(n), _assemble(np.eye(m), 0, 0, -np.eye(m)))
     if kind == PARA_HERMITIAN:
         if n % 2 != 0:
             raise DimensionError("para-Hermitian data needs even dimension")
         f = _assemble(np.eye(m), 0, 0, -np.eye(m))
-        return _frozen(f, _assemble(0, np.eye(m), np.eye(m), 0), +1, -1)
+        return _frozen(f, _assemble(0, np.eye(m), np.eye(m), 0))
     if kind == PRODUCT_RIEMANNIAN:
         if n < 2:
             raise DimensionError("product data needs dimension at least 2")
-        q = n // 2
-        f = np.diag(np.concatenate([np.ones(n - q), -np.ones(q)]))
-        return _frozen(f, np.eye(n), +1, +1)
-    raise ValueError(f"unknown kind {kind!r}; known: {AE_KINDS}")
+        f = np.diag(np.concatenate([np.ones(n - m), -np.ones(m)]))
+        return _frozen(f, np.eye(n))
+    raise ValueError(f"unknown kind {kind!r}; known: {tuple(KINDS)}")
 
 
 def random_kahler_data(n: int, seed: int, max_condition: float = 50.0):
@@ -316,8 +307,17 @@ def random_ae_pair(kind: str, n: int, seed: int) -> AeManifoldData:
     default: downstream identities square and invert the transported
     blocks, and the clamp keeps their roundoff comfortably under 1e-9.
     """
-    j, g, alpha, eps = _model_pair(kind, n)
-    rng = SplitMix64(seed)
-    p = random_invertible(n, rng, max_condition=50.0)
-    p_inv = np.linalg.inv(p)
-    return AeManifoldData(p_inv @ j @ p, BaseForm(p.T @ g @ p, SYMMETRIC), alpha, eps)
+    j, g = _model_pair(kind, n)
+    alpha, eps, _ = KINDS[kind]
+    p = random_invertible(n, SplitMix64(seed), max_condition=50.0)
+    return AeManifoldData(np.linalg.inv(p) @ j @ p, BaseForm(p.T @ g @ p, SYMMETRIC), alpha, eps)
+
+
+def random_base(kind: str, n: int, seed: int):
+    """Seeded base data of a kind for a requested n: a positive definite metric
+    (SYMMETRIC) at n, else a symplectic form or (J, g) data at fixture_dim."""
+    if kind == SYMMETRIC:
+        return random_metric(n, n, 0, seed)
+    if kind == SKEW:
+        return random_symplectic(fixture_dim(n), seed)
+    return random_ae_pair(kind, fixture_dim(n, kind), seed)

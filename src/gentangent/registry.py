@@ -20,10 +20,9 @@ from . import ae_zoo, triples
 from .ae_zoo import (
     HERMITIAN,
     INCOMPATIBLE,
-    INDEFINITE_HERMITIAN,
+    KINDS,
     NORDEN,
     PARA_HERMITIAN,
-    PRODUCT_RIEMANNIAN,
     base_fundamental,
     build_diagonal,
     build_family,
@@ -55,11 +54,10 @@ from .gen_metrics import (
 from .generators import (
     SplitMix64,
     fixture_dim,
-    random_ae_pair,
+    random_base,
     random_invertible,
     random_kahler_data,
     random_metric,
-    random_symplectic,
 )
 
 
@@ -84,11 +82,10 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _check_flat_sharp(n, trials, seed, tol):
-    kinds = (HERMITIAN, NORDEN, PARA_HERMITIAN, PRODUCT_RIEMANNIAN,
-             INDEFINITE_HERMITIAN)
+    # the kinds drawn at n first, then those of a fixed dimension
+    kinds = sorted(KINDS, key=lambda k: KINDS[k].dim is not None)
     for t in range(trials):
-        kind = kinds[t % len(kinds)]
-        data = random_ae_pair(kind, fixture_dim(n, kind), _trial_seed(seed, t))
+        data = random_base(kinds[t % len(kinds)], n, _trial_seed(seed, t))
         failed = not check_flat_sharp_identities(data, tol)
         flat_phi = base_fundamental(data).gram.T
         yield failed, _residual(flat_phi, data.g.gram.T @ data.J)
@@ -147,10 +144,10 @@ def _check_signature(n, trials, seed, tol):
 def _check_canonical_pair(n, trials, seed, tol):
     for m in range(1, 7):
         gm0, om0, ff0 = g0(m), omega0(m), f0(m)
-        res = _residual(om0.gram, ff0.assemble().T @ gm0.gram)
+        om_built = ff0.assemble().T @ gm0.gram
         cls = classify_pair(ff0, gm0, tol)
-        yield ((res > tol.abs + tol.rel or cls.name != PARA_HERMITIAN)
-               + (signature(gm0, tol) != (m, m))), res
+        yield ((not close(om0.gram, om_built, tol) or cls.name != PARA_HERMITIAN)
+               + (signature(gm0, tol) != (m, m))), _residual(om0.gram, om_built)
 
 
 def _check_jg_g0_norden(n, trials, seed, tol):
@@ -189,8 +186,8 @@ def _check_iff(shape, n, trials, seed, tol):
         for t in range(trials):
             for i, (fam, good_kind, bad_kind) in enumerate(cells):
                 s = _trial_seed(seed, t * len(cells) + i)
-                good = random_ae_pair(good_kind, fixture_dim(n), s)
-                bad = random_ae_pair(bad_kind, fixture_dim(n), s + 1)
+                good = random_base(good_kind, n, s)
+                bad = random_base(bad_kind, n, s + 1)
                 for data, want_ok in ((good, True), (bad, False)):
                     op = build_family(fam, data, tol)
                     metric = g0(data.n) if metric_id == "G0" else induced_metric(data.g, tol)
@@ -203,9 +200,7 @@ def _twin_data(family, n, seed):
     kind = _fitting_kind(op_id, metric_id)
     if kind == SYMMETRIC:
         return _random_signature_metric(n, seed)
-    if kind == SKEW:
-        return random_symplectic(fixture_dim(n), seed)
-    return random_ae_pair(kind, fixture_dim(n), seed)
+    return random_base(kind, n, seed)
 
 
 def _check_twin_metrics(n, trials, seed, tol):
@@ -237,9 +232,8 @@ def _check_canonical_triples(n, trials, seed, tol):
     for t in range(trials):
         for i, name in enumerate(names):
             alpha = triples._TRIPLE_RECIPES[name][0]
-            kind = next(k for k, a in ae_zoo._KIND_ALPHA.items() if a == alpha)
-            data = random_ae_pair(kind, fixture_dim(n),
-                                  _trial_seed(seed, t * len(names) + i))
+            kind = next(k for k, row in KINDS.items() if row.alpha == alpha)
+            data = random_base(kind, n, _trial_seed(seed, t * len(names) + i))
             first, second, third = triples.canonical_triple(name, data, tol)
             report = triples.classify_triple(first, second, tol)
             if report.kind == triples.NO_TRIPLE:
@@ -252,10 +246,9 @@ def _check_canonical_triples(n, trials, seed, tol):
 
 
 def _check_mixed_decomposition(alpha, n, trials, seed, tol):
-    kinds = (HERMITIAN, NORDEN) if alpha == -1 else (
-        PARA_HERMITIAN, PRODUCT_RIEMANNIAN)
+    kinds = [k for k, row in KINDS.items() if row.alpha == alpha and row.dim is None]
     for t in range(trials):
-        data = random_ae_pair(kinds[t % 2], fixture_dim(n), _trial_seed(seed, t))
+        data = random_base(kinds[t % len(kinds)], n, _trial_seed(seed, t))
         mixed = build_mixed(data, tol).assemble()
         musical = build_musical(data.g, -alpha, tol)
         lam = data.epsilon if alpha == -1 else -data.epsilon
@@ -267,7 +260,7 @@ def _check_mixed_decomposition(alpha, n, trials, seed, tol):
 def _check_combine_law(n, trials, seed, tol):
     for t in range(trials):
         rng = SplitMix64(_trial_seed(seed, t))
-        data = random_ae_pair(HERMITIAN, fixture_dim(n), _trial_seed(seed, t) + 1)
+        data = random_base(HERMITIAN, n, _trial_seed(seed, t) + 1)
         triple = triples.canonical_triple("biparaC", data, tol)
         a, b, c = (2.0 * rng.symmetric_uniform() for _ in range(3))
         combo, _ = triples.combine(a, b, c, triple, tol)
@@ -282,7 +275,7 @@ def _check_combine_law(n, trials, seed, tol):
 
 def _check_kahler_example(n, trials, seed, tol):
     for t in range(trials):
-        data = random_ae_pair(HERMITIAN, fixture_dim(n), _trial_seed(seed, t))
+        data = random_base(HERMITIAN, n, _trial_seed(seed, t))
         phi = base_fundamental(data)
         j_phi = build_musical(phi, -1, tol)
         j_minus = build_diagonal(data.J, -1, tol)
@@ -303,16 +296,14 @@ def _check_kahler_roundtrip(n, trials, seed, tol):
 
 
 def _check_base_extraction(n, trials, seed, tol):
-    m = fixture_dim(n)
-    ident = np.eye(m)
     for t in range(trials):
         s = _trial_seed(seed, t)
-        om = random_symplectic(m, s)
-        data = random_ae_pair(HERMITIAN, m, s + 1)
+        om = random_base(SKEW, n, s)
+        data = random_base(HERMITIAN, n, s + 1)
         for op in (build_musical(om, -1, tol),
                    build_diagonal(data.J, -1, tol)):
             j = extract_base_complex(op, tol)
-            res = _residual(j @ j, -ident)
+            res = _residual(j @ j, -np.eye(om.n))
             yield res > 1e-8, res
 
 

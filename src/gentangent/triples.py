@@ -8,6 +8,7 @@ from .ae_zoo import AeManifoldData, build_diagonal, build_family, isometry_sign
 from .canonical import f0, g0
 from .core import (
     SKEW,
+    SYMMETRIC,
     BaseForm,
     BilinearForm,
     BlockOperator,
@@ -19,8 +20,10 @@ from .core import (
     dual_map,
     musicals,
     polynomial_class,
+    signature,
 )
 from .errors import (
+    DegenerateFormError,
     DimensionError,
     IncompatiblePairError,
     InvalidKahlerDataError,
@@ -91,17 +94,6 @@ def classify_triple(first: BlockOperator, second: BlockOperator, tol: Tolerance 
     return TripleReport(kind, lam, product)
 
 
-TRIPLE_NAMES = (
-    "hyperC",
-    "biC-phi",
-    "biC-Fg",
-    "biparaC",
-    "hyperP",
-    "biparaP-1",
-    "biparaP-2",
-    "biC-product",
-)
-
 # name -> (required alpha, member recipe); a member is a family of
 # ae_zoo.FAMILIES built from (J, g), or the diagonal structure with
 # lambda = +/-eps; a leading "-" negates it.
@@ -115,6 +107,8 @@ _TRIPLE_RECIPES = {
     "biparaP-2": (+1, ("Fphi", "diag-", "Jg"), BIPARACOMPLEX),
     "biC-product": (+1, ("Jg", "Jphi", "-diag+"), BICOMPLEX),
 }
+
+TRIPLE_NAMES = tuple(_TRIPLE_RECIPES)
 
 
 def _triple_member(token: str, data: AeManifoldData, tol: Tolerance) -> BlockOperator:
@@ -170,6 +164,14 @@ def triple_epsilon_product(first: BlockOperator, second: BlockOperator, metric: 
     return eps1, eps2, eps_k == eps1 * eps2
 
 
+def _positive_definite(form, tol: Tolerance) -> bool:
+    """``signature``'s verdict: symmetric with every eigenvalue above tol.abs."""
+    try:
+        return form.kind == SYMMETRIC and signature(form, tol)[1] == 0
+    except DegenerateFormError:
+        return False
+
+
 def is_almost_kahler(j1: BlockOperator, j2: BlockOperator, tol: Tolerance = DEFAULT_TOL):
     """Almost-Kahler test for a pair of generalized complex structures.
 
@@ -189,10 +191,7 @@ def is_almost_kahler(j1: BlockOperator, j2: BlockOperator, tol: Tolerance = DEFA
         return False, None
     inducer = BlockOperator.from_matrix(-(m1 @ m2))
     form, report = metric_from_endomorphism(inducer, tol)
-    if not report.valid:
-        return False, None
-    eigvals = np.linalg.eigvalsh(0.5 * (form.gram + form.gram.T))
-    if eigvals[0] <= tol.abs:
+    if not (report.valid and _positive_definite(form, tol)):
         return False, None
     return True, form
 
@@ -218,7 +217,7 @@ class KahlerData(_ReadOnly):
         if not close(self.b, -self.b.T, tol):
             raise InvalidKahlerDataError("b is not skew-symmetric")
         gm = self.g.gram
-        if not close(gm, gm.T, tol) or np.linalg.eigvalsh(0.5 * (gm + gm.T))[0] <= tol.abs:
+        if not close(gm, gm.T, tol) or not _positive_definite(self.g, tol):
             raise InvalidKahlerDataError("g is not symmetric positive definite")
         ident = np.eye(self.n)
         for name in ("J1", "J2"):

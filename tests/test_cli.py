@@ -242,6 +242,21 @@ def test_nonpositive_counts_exit_2(capsys, monkeypatch, args, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [
+    (["build", "Jg"], ["--format", "table"]),
+    (["fixtures"], ["--format", "table"]),
+    (["fixtures"], ["--tol", "0.5"]),
+])
+def test_option_the_command_does_not_use_exits_2(tmp_path, capsys, monkeypatch,
+                                                  command, option):
+    # build always prints JSON, and fixtures builds at the default tolerance
+    out = ["--out", str(tmp_path)] if command == ["fixtures"] else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, monkeypatch, command + out + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
+
+
 def _lone_operator_text(h, n="1"):
     return ('{"n": %s, "operator": {"H": [[%s]], "sigma": [[0]], '
             '"tau": [[0]], "K": [[1]]}}' % (n, h))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gentangent as gt
-from gentangent import canonical, generators, registry
+from gentangent import ae_zoo, canonical, generators, registry
 
 MASK = (1 << 64) - 1
 
@@ -102,9 +102,7 @@ def test_random_symplectic():
 
 
 def test_random_ae_pair_all_kinds_validate():
-    from gentangent.generators import AE_KINDS
-
-    for kind in AE_KINDS:
+    for kind in ae_zoo.KINDS:
         n = 4 if kind == "IndefiniteHermitian" else 2
         for seed in range(10):
             data = gt.random_ae_pair(kind, n, seed)
@@ -200,8 +198,8 @@ def test_memoized_fixtures_are_read_only():
     p = gt.random_invertible(4, gt.SplitMix64(8))
     with pytest.raises(ValueError):
         p[0, 0] = 0.0
-    for kind in generators.AE_KINDS:
-        j, g, _, _ = generators._model_pair(kind, 4)
+    for kind in ae_zoo.KINDS:
+        j, g = generators._model_pair(kind, 4)
         for m in (j, g):
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0

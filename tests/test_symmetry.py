@@ -1,4 +1,5 @@
-"""Equivariance of the family builders under the symmetries of V + V*.
+"""Equivariance of the family builders, and invariance of the classifiers,
+under the symmetries of V + V*.
 
 A change of basis A of V acts on V + V* as D_A = diag(A, A^-T), and on base
 data as J -> A J A^-1, g -> A^-T g A^-1 (the same for a symplectic form).
@@ -6,6 +7,12 @@ Every builder of ``ae_zoo.FAMILIES`` commutes with it: building from the
 carried data gives the D_A-conjugate of the original build.  The builders
 also commute with direct sums of base data, up to the shuffle
 (X1, X2, xi1, xi2) <-> (X1, xi1, X2, xi2) of the fiber's coordinates.
+
+D_A preserves G0 (D_A^T G0 D_A = G0), commutes with F0 = diag(-I, I) and
+carries the induced metric Gg of g to that of the carried g.  So conjugating
+an operator by D_A changes neither its class against G0, nor its class
+against Gg once Gg is carried too, nor its commutation with F0, nor the
+kind and commutation sign of a triple.
 
 A is an integer product of three shears, so A, A^-1 and D_A are exact and
 the residuals are roundoff only.  Each bound states the scale that roundoff
@@ -17,20 +24,17 @@ import numpy as np
 import pytest
 
 import gentangent as gt
-from gentangent.ae_zoo import FAMILIES, AeManifoldData
-from gentangent.core import SKEW, SYMMETRIC
+from gentangent import triples
+from gentangent.ae_zoo import FAMILIES, FAMILY_IDS, KINDS, AeManifoldData
+from gentangent.core import SYMMETRIC
+from gentangent.generators import random_base
 
 U = 2.0**-53
 SLACK = 8  # the worst case measured: 0.10 of the GL(V) bound, 0.18 of the direct-sum one
 
 
 def _base(family, n, seed):
-    kind = FAMILIES[family].base_kind
-    if kind == SYMMETRIC:
-        return gt.random_metric(n, n, 0, seed)
-    if kind == SKEW:
-        return gt.random_symplectic(n, seed)
-    return gt.random_ae_pair(kind, n, seed)
+    return random_base(FAMILIES[family].base_kind, n, seed)
 
 
 def _gram(data):
@@ -108,3 +112,47 @@ def test_builders_commute_with_direct_sums(family):
                            gt.build_family(family, d2).matrix)
         scale = np.linalg.cond(_gram(data)) * np.linalg.norm(want)
         assert np.linalg.norm(got - want) <= SLACK * U * scale, seed
+
+
+def _conjugate(op, a, a_inv):
+    """D_A op D_A^-1."""
+    return gt.BlockOperator.from_matrix(
+        _direct_sum(a, a_inv.T) @ op.matrix @ _direct_sum(a_inv, a.T))
+
+
+def _riemannian(data, seed):
+    """The metric whose Gg a family is classified against: the data's g, or,
+    beside a lone form, a positive definite metric of its own."""
+    if isinstance(data, AeManifoldData):
+        return data.g
+    return data if data.kind == SYMMETRIC else gt.random_metric(data.n, data.n, 0, seed)
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_classes_and_f0_commutation_keep_under_a_change_of_basis(family):
+    n = 4
+    g0 = gt.g0(n)
+    for seed in range(20):
+        data = _base(family, n, seed)
+        a, a_inv = _unimodular(n, 7000 + seed)
+        op = gt.build_family(family, data)
+        moved = _conjugate(op, a, a_inv)
+        assert gt.classify_pair(moved, g0) == gt.classify_pair(op, g0), seed
+        g = _riemannian(data, 100 + seed)
+        gg, gg_moved = gt.induced_metric(g), gt.induced_metric(_carry(g, a, a_inv))
+        assert gt.classify_pair(moved, gg_moved) == gt.classify_pair(op, gg), seed
+        assert gt.f0_commutation(moved) == gt.f0_commutation(op), seed
+
+
+@pytest.mark.parametrize("name", gt.TRIPLE_NAMES)
+def test_triple_kinds_keep_under_a_change_of_basis(name):
+    n = 4
+    alpha = triples._TRIPLE_RECIPES[name][0]
+    kind = next(k for k, row in KINDS.items() if row.alpha == alpha)
+    for seed in range(20):
+        first, second, _ = gt.canonical_triple(name, random_base(kind, n, seed))
+        a, a_inv = _unimodular(n, 7000 + seed)
+        report = gt.classify_triple(first, second)
+        moved = gt.classify_triple(_conjugate(first, a, a_inv), _conjugate(second, a, a_inv))
+        assert report.kind == gt.expected_triple_kind(name), seed
+        assert (moved.kind, moved.commutation_sign) == (report.kind, report.commutation_sign), seed

@@ -188,6 +188,24 @@ def test_kahler_data_validation():
         gt.KahlerData(kd.b, bad_metric, kd.J1, kd.J2).validate()
 
 
+@pytest.mark.parametrize("low", [2e-9, 1e-9, 0.5e-9, 0.0, -0.5e-9, -2e-9])
+def test_kahler_metric_must_have_every_eigenvalue_above_tol_abs(low):
+    # signature's rule: at or below tol.abs, or negative, validate names g;
+    # above it, validate goes on to J1, which is no isometry of diag(1, low)
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    kd = gt.KahlerData(np.zeros((2, 2)), gt.BaseForm(np.diag([1.0, low])), j, j)
+    want = "g is not symmetric positive" if low <= 1e-9 else "J1 is not a g-isometry"
+    with pytest.raises(gt.InvalidKahlerDataError, match=want):
+        kd.validate(gt.Tolerance(1e-9, 1e-9))
+
+
+def test_kahler_metric_declared_skew_is_no_metric():
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    kd = gt.KahlerData(np.zeros((2, 2)), gt.BaseForm(np.eye(2), gt.SKEW), j, j)
+    with pytest.raises(gt.InvalidKahlerDataError, match="g is not symmetric positive"):
+        kd.validate()
+
+
 def test_kahler_from_data_reduces_when_b_zero():
     """With b = 0 and J1 = J2 = J the pair degenerates to the classic one."""
     data = gt.random_ae_pair("Hermitian", 2, seed=7)

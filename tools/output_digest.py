@@ -10,7 +10,10 @@ digest covers the exit code, stdout and stderr of every run in its group:
 
 - ``verify all --format json`` at seeds 1-8, for ``--dim 3 --trials 100``,
   ``--dim 8 --trials 5`` and ``--dim 32 --trials 3``, with each report's
-  ``elapsed`` removed; and, the same way, two runs that fail checks:
+  ``elapsed`` removed; then ``--dim 5`` and ``--dim 6`` at ``--trials 5``,
+  where the fixture dimension is rounded up (5) and where the indefinite
+  Hermitian kind is drawn at 4 and every other kind at 6; and, the same
+  way, two runs that fail checks:
   ``--dim 3 --trials 100 --seed 2036071567`` and
   ``--dim 3 --trials 3 --seed 5 --tol 1e-13``
 - ``build <family> --dim {2,8,32} --seed {1,2,3}`` over every family, and the
@@ -36,6 +39,7 @@ import sys
 import tempfile
 
 VERIFY_RUNS = ((3, 100), (8, 5), (32, 3))
+FIXTURE_DIM_RUNS = ((5, 5), (6, 5))
 SEEDS = range(1, 9)
 FAILING_VERIFY_RUNS = (("--dim", "3", "--trials", "100", "--seed", "2036071567"),
                        ("--dim", "3", "--trials", "3", "--seed", "5", "--tol", "1e-13"))
@@ -125,6 +129,9 @@ def groups(main, family_ids):
         records = [verify(main, ["--dim", str(dim), "--trials", str(trials),
                                  "--seed", str(seed)]) for seed in SEEDS]
         yield f"verify --dim {dim} --trials {trials}", records
+    records = [verify(main, ["--dim", str(dim), "--trials", str(trials), "--seed", str(seed)])
+               for dim, trials in FIXTURE_DIM_RUNS for seed in SEEDS]
+    yield "verify --dim 5,6 --trials 5", records
     yield "verify, failing runs", [verify(main, args) for args in FAILING_VERIFY_RUNS]
     built, classified = build_and_classify(main, family_ids, BUILD_DIMS)
     yield "build", built
