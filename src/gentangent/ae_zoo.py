@@ -111,15 +111,15 @@ def isometry_sign(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFA
 
 def classify_pair(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> StructureClass:
     """Classify (op, metric) into the (alpha, epsilon) family table."""
+    if metric.kind != SYMMETRIC:
+        raise ValueError("the (alpha, epsilon) table needs a symmetric metric, "
+                         f"not a {metric.kind} one")
     pc = polynomial_class(op, tol)
     if pc.kind == "neither":
         return StructureClass(INCOMPATIBLE)
     eps = isometry_sign(op, metric, tol)
     if eps is None:
         return StructureClass(INCOMPATIBLE)
-    if metric.kind != SYMMETRIC:
-        raise ValueError("the (alpha, epsilon) table needs a symmetric metric, "
-                         f"not a {metric.kind} one")
     sig = signature(metric, tol)
     riemannian = sig[1] == 0
     alpha = pc.alpha

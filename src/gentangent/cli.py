@@ -150,7 +150,9 @@ def _read_base(doc, n, tol):
 
     if not isinstance(doc, dict):
         raise InputError("base: expected an object")
-    if "omega" in doc and "g" not in doc:
+    if "g" in doc and "omega" in doc:
+        raise InputError("base: g and omega exclude each other")
+    if "omega" in doc:
         return BaseForm(_of_kind(_matrix(doc, "omega", n, "base"), SKEW, tol, "base: omega"), SKEW)
     if "g" not in doc:
         raise InputError("base: needs at least g or omega")

@@ -22,16 +22,16 @@ again, as with many trials per check; the bound keeps the memory of large
 n x n draws small.  The returned matrix is shared and read-only; copy it
 before writing.  ``_model_pair`` is cached the same way.
 
-The SVD condition number decides each candidate.  From n = 16 on, once a
-key's first candidate has been rejected, each later one is first put to a
-shifted Cholesky test (``_surely_ill_conditioned``), which can only prove
-cond >= clamp; a candidate it proves ill-conditioned is rejected without
-the SVD, which would reject it too.  So the accepted draw and the stream
-after it are exactly those of the plain SVD loop.
+One test decides each candidate P at every n: the eigenvalues of P^T P are
+the squared singular values, and P is accepted iff the largest is below
+clamp^2 times the smallest, which is positive.  Forming P^T P moves each
+eigenvalue by at most about n u sigma_max^2 (Weyl's bound; Higham, Accuracy
+and Stability of Numerical Algorithms, section 10.1 and chapter 20), so the
+decision is the SVD's except for candidates within about n u cond^2 of the
+clamp.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .ae_zoo import (
     PRODUCT_RIEMANNIAN,
     AeManifoldData,
 )
-from .core import _UNIT_ROUNDOFF, SKEW, SYMMETRIC, BaseForm, _assemble
+from .core import SKEW, SYMMETRIC, BaseForm, _assemble
 from .errors import DimensionError
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -96,107 +96,40 @@ class SplitMix64:
         return (2.0 * u - 1.0).reshape(rows, cols)
 
 
-# Below this n an SVD costs no more than forming P^T P and trying its
-# Cholesky factorization (numpy 2.4, OpenBLAS at one thread: equal at n = 8,
-# the SVD about 1.4x dearer at n = 12 and 2.7x at n = 32).
-_CHOLESKY_MIN_N = 16
-
-
-def _rejection_shift(n: int, max_condition: float) -> float:
-    """Factor (1 - m) / clamp^2 of the shifted-Cholesky test, or 0.0 (test
-    off) where its margin m is not small.
-
-    For an n x n candidate P with singular values s_1 >= ... >= s_n, write
-    u = 2^-53, k = clamp, and let A = fl(P^T P), lam its estimate of s_1^2
-    (``_surely_ill_conditioned``) and B = fl(A - h I) with h = (1 - m) lam / k^2.
-    To first order in u (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 10.1):
-
-    * |A - P^T P| <= gamma_n |P^T||P| elementwise, so ||A - P^T P||_2
-      <= n^2 u s_1^2, and A's diagonal is at most s_1^2 (1 + n u).
-    * lam = ||fl(A v)|| / ||v|| <= ||A||_2 (1 + (n^1.5 + 3 n + 2) u)
-      <= s_1^2 (1 + 2 (n + 1)^2 u).
-    * The diagonal subtraction moves B from A - h I by at most u s_1^2.
-    * If Cholesky fails on B, then lambda_min(B) <= n gamma_(n+1)
-      max_i B_ii (Theorem 10.7, after the diagonal scaling), which is at
-      most (n^2 + n) u s_1^2.
-
-    Together s_n^2 <= h + (2 n^2 + n + 1) u s_1^2, so
-    s_n^2 / s_1^2 <= (1 - m + 2 (n + 1)^2 u (1 + k^2)) / k^2.  The SVD's
-    singular values are off by at most p(n) u s_1, and it rejects P, as
-    cond >= k, once s_n^2 / s_1^2 <= (1 - 2 p(n) u (1 + k) - 4 u) / k^2.
-    With p(n) <= 32 n both hold for
-
-        m = 64 (n + 1)^2 u (1 + k)^2,
-
-    at least twice the first-order need, so the second-order terms and the
-    constants of blocked Cholesky fit too.  At n = 32 that is 8e-6 for
-    k = 1e3.  The test runs while m <= 1/16 (up to k of about 9e4 there).
-    """
-    m = 64 * (n + 1) ** 2 * _UNIT_ROUNDOFF * (1 + max_condition) ** 2
-    return (1 - m) / max_condition**2 if m <= 1 / 16 else 0.0
-
-
-def _surely_ill_conditioned(p: np.ndarray, shift: float) -> bool:
-    """True only if cond(p) >= the clamp of ``shift`` by the SVD's count.
-
-    With A = p^T p, lam = ||A v|| / ||v|| for v the row of A with the
-    largest diagonal entry: one power step, at least the Rayleigh quotient
-    of A at v and at most sigma_max^2.  If A - shift lam I has no Cholesky
-    factor, then sigma_min^2 < sigma_max^2 / clamp^2 (``_rejection_shift``
-    derives the margin), so the SVD would reject p too.  A success proves
-    nothing; the caller then runs the SVD.
-    """
-    a = p.T @ p
-    j = a.diagonal().argmax()
-    if not a[j, j] > 0:
-        return False
-    v = a[j]
-    w = a @ v
-    lam = math.sqrt(w.dot(w)) / math.sqrt(v.dot(v))
-    a.reshape(-1)[:: a.shape[0] + 1] -= shift * lam
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return True
-    return False
+# Highest clamp the eigenvalue test resolves: fl(P^T P) moves each eigenvalue
+# by about n u sigma_max^2 (Weyl), a relative error of about n u cond^2 in
+# sigma_min^2, below 1e-6 up to this clamp for n <= 64.
+_MAX_CLAMP = 1.0e4
 
 
 @functools.lru_cache(maxsize=128)
 def _accepted_draw(n: int, state: int, max_condition: float):
     """First draw from ``state`` with condition below the clamp, read-only,
-    and the stream state after it.
-
-    The SVD decides each candidate, except that at n >= _CHOLESKY_MIN_N,
-    once the first one has been rejected, a candidate the shifted-Cholesky
-    test shows to be ill-conditioned is rejected without it (the answer is
-    the same).
-    """
+    and the stream state after it."""
     rng = SplitMix64(state)
-    shift = None
     while True:
         p = rng.matrix(n, n)
-        if shift and _surely_ill_conditioned(p, shift):
-            continue
-        sv = np.linalg.svd(p, compute_uv=False)
-        if sv[-1] > 0 and sv[0] / sv[-1] < max_condition:
+        lam = np.linalg.eigvalsh(p.T @ p)
+        if lam[0] > 0 and lam[-1] < max_condition**2 * lam[0]:
             p.flags.writeable = False
             return p, rng._state
-        if shift is None and n >= _CHOLESKY_MIN_N:
-            shift = _rejection_shift(n, max_condition)
 
 
 def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDITION) -> np.ndarray:
     """Random matrix with condition number below the clamp.
 
-    Draws are rejected (consuming the stream deterministically) until the
-    condition bound, cond < max_condition by the SVD, holds.  At the default
-    clamp a uniform entry matrix passes almost always at the sizes used
-    here; at the tighter clamp 50 most 32 x 32 draws are rejected, mostly by
-    a shifted Cholesky test that gives the SVD's answer more cheaply (see
-    the module docstring).  The result is read-only and may be shared with
-    other callers that drew from the same state.
+    Draws are rejected (consuming the stream deterministically) until
+    cond < max_condition, decided from the eigenvalues of P^T P (the squared
+    singular values).  At the default clamp a uniform entry matrix passes
+    almost always at the sizes used here; at the tighter clamp 50 most
+    32 x 32 draws are rejected.  The clamp must lie in (1, 1e4]: no matrix
+    has cond below 1, so a clamp of at most 1 would loop forever (one just
+    above 1 still almost never accepts), and above 1e4 the rounding of
+    P^T P blurs the decision.  The result is read-only and may be shared
+    with other callers that drew from the same state.
     """
+    if not 1.0 < max_condition <= _MAX_CLAMP:
+        raise ValueError(f"max_condition must lie in (1, {_MAX_CLAMP:g}], not {max_condition!r}")
     p, rng._state = _accepted_draw(n, rng._state, max_condition)
     return p
 

@@ -47,6 +47,19 @@ def test_classify_pair_incompatible():
     assert gt.classify_pair(op, gt.g0(2)).name == INCOMPATIBLE
 
 
+def test_classify_pair_refuses_a_non_symmetric_metric_for_any_operator():
+    # the table is read off a signature; the answer must not hang on whether
+    # the operator happens to be an almost complex or product structure
+    rng = gt.SplitMix64(4)
+    skew = gt.BilinearForm(gt.omega0(2).gram, gt.SKEW)
+    general = gt.BilinearForm(rng.matrix(4, 4), gt.GENERAL)
+    for op in (gt.f0(2), gt.BlockOperator.from_matrix(np.eye(4)),
+               gt.BlockOperator.from_matrix(rng.matrix(4, 4))):
+        for metric in (skew, general):
+            with pytest.raises(ValueError, match="needs a symmetric metric"):
+                gt.classify_pair(op, metric)
+
+
 def test_isometry_sign():
     assert isometry_sign(gt.f0(2), gt.g0(2)) == -1
     g = gt.random_metric(2, 2, 0, seed=3)

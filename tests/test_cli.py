@@ -384,14 +384,15 @@ def test_classify_metric_gram_not_of_its_declared_kind_exits_2(capsys, monkeypat
 
 
 def test_classify_metric_gram_of_its_declared_kind_is_read(capsys, monkeypatch):
-    # the identity operator is no structure, so the pair comes out Incompatible
-    # whatever the kind of the metric
     for kind, gram in (("symmetric", [[0, 1], [1, 0]]), ("skew", [[0, 1], [-1, 0]]),
                        ("general", [[0, 1], [5, 0]])):
-        code, out, _ = run_cli(capsys, monkeypatch, ["classify", "-", "--format", "json"],
-                               _metric_doc(1, gram, kind))
-        assert code == 0
-        assert json.loads(out)["metric"] == {"gram": gram, "kind": kind}
+        metric = cli._read_metric({"gram": gram, "kind": kind}, 1, gt.DEFAULT_TOL)
+        assert (metric.gram.tolist(), metric.kind) == (gram, kind)
+    # the identity operator is no structure, so the pair comes out Incompatible
+    code, out, _ = run_cli(capsys, monkeypatch, ["classify", "-", "--format", "json"],
+                           _metric_doc(1, [[0, 1], [1, 0]], "symmetric"))
+    assert code == 0
+    assert json.loads(out)["metric"] == {"gram": [[0, 1], [1, 0]], "kind": "symmetric"}
 
 
 @pytest.mark.parametrize("kind, gram", [("skew", [[0, 1], [-1, 0]]),
@@ -406,6 +407,20 @@ def test_classify_structure_against_non_symmetric_metric_exits_2(capsys, monkeyp
     assert err == ("error: the (alpha, epsilon) table needs a symmetric metric, "
                    f"not a {kind} one\n")
     assert out == ""
+
+
+@pytest.mark.parametrize("operator", [
+    {"H": [[1]], "sigma": [[2]], "tau": [[3]], "K": [[4]]},
+    {"H": [[1]], "sigma": [[0]], "tau": [[0]], "K": [[1]]},
+    {"H": [[0]], "sigma": [[1]], "tau": [[-1]], "K": [[0]]},
+])
+def test_classify_any_operator_against_skew_metric_exits_2(capsys, monkeypatch, operator):
+    # no structure, the identity and an almost complex structure get one answer
+    doc = {"n": 1, "operator": operator,
+           "metric": {"gram": [[0, -0.5], [0.5, 0]], "kind": "skew"}}
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: the (alpha, epsilon) table needs a symmetric metric, not a skew one\n"
 
 
 def test_verify_case_with_no_triple_fails_without_traceback(capsys, monkeypatch):
@@ -472,6 +487,19 @@ def test_base_form_not_of_its_kind_exits_2(capsys, monkeypatch, family, base, me
     code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
                              json.dumps({"n": 2, "family": family, "base": base}))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_base_with_both_g_and_omega_exits_2(capsys, monkeypatch):
+    # reading one and dropping the other would answer a question not asked
+    base = {"g": [[2.0, 0.0], [0.0, 2.0]], "omega": [[0.0, 1.0], [-1.0, 0.0]]}
+    message = "error: base: g and omega exclude each other\n"
+    for family in ("Jg", "Jom"):
+        code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
+                                 json.dumps({"n": 2, "base": base}))
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                                 json.dumps({"n": 2, "family": family, "base": base}))
+        assert (code, out, err) == (2, "", message)
 
 
 def test_classify_operator2_with_metric_exits_2_naming_both(capsys, monkeypatch):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import gentangent as gt
 from gentangent import ae_zoo, canonical, generators, registry
 
 MASK = (1 << 64) - 1
+SRC = str(Path(gt.__file__).resolve().parent.parent)
 
 
 class ReferenceSplitMix64:
@@ -153,7 +158,7 @@ def test_vectorized_stream_matches_reference(seed):
 
 
 def _reference_invertible(ref, n, max_condition):
-    """The rejection loop, drawing from the reference stream."""
+    """The rejection loop by the SVD's condition number, drawing from ref."""
     while True:
         want = ref.matrix(n, n)
         sv = np.linalg.svd(want, compute_uv=False)
@@ -186,7 +191,7 @@ def test_random_invertible_matches_reference_rejection_loop():
 def test_random_invertible_pinned_digest(seed, digest, next_u64):
     # every accepted and rejected candidate of these seeds has a condition
     # number at least 10% away from the clamp, so the pins do not depend on
-    # the platform's SVD; the repeated call reads the memo
+    # the platform's LAPACK; the repeated call reads the memo
     for _ in range(2):
         rng = gt.SplitMix64(seed)
         p = gt.random_invertible(32, rng, 50.0)
@@ -239,46 +244,57 @@ def test_matrix_stream_pinned_digest(seed, digest):
     assert hashlib.sha256(m.tobytes()).hexdigest() == digest
 
 
-def _svd_accepts(p, max_condition):
-    sv = np.linalg.svd(p, compute_uv=False)
-    return sv[-1] > 0 and sv[0] / sv[-1] < max_condition
+def test_random_invertible_agrees_with_the_svd_loop():
+    # the eigenvalue test picks the same draw and leaves the same stream as
+    # the SVD's condition number, over many stream states per size and clamp
+    for n in (1, 2, 3, 4, 8, 16, 32):
+        for clamp in (50.0, 100.0, 1e3):
+            for seed in range(1, 51):
+                rng, ref = gt.SplitMix64(seed), gt.SplitMix64(seed)
+                got = gt.random_invertible(n, rng, clamp)
+                assert np.array_equal(got, _reference_invertible(ref, n, clamp)), (n, clamp, seed)
+                assert rng.next_u64() == ref.next_u64()
 
 
-def test_cholesky_rejection_never_rejects_what_the_svd_accepts():
-    rejected = {"svd": 0, "cholesky": 0}
-    for n in (2, 3, 8, 32):
-        rng = gt.SplitMix64(1000 + n)
-        for _ in range(2500):
-            p = rng.matrix(n, n)
-            for clamp in (50.0, 1e3):
-                surely = generators._surely_ill_conditioned(
-                    p, generators._rejection_shift(n, clamp))
-                if _svd_accepts(p, clamp):
-                    assert not surely
-                else:
-                    rejected["svd"] += 1
-                    rejected["cholesky"] += surely
-    # the test is not vacuous: it catches most of the SVD's rejections
-    assert rejected["cholesky"] >= 0.5 * rejected["svd"]
+def _accepts(p, clamp):
+    """Whether the rejection loop takes p, fed p and then the identity."""
+    candidates = iter([p, np.eye(len(p))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators.SplitMix64, "matrix", lambda self, rows, cols: next(candidates))
+        got, _ = generators._accepted_draw.__wrapped__(len(p), 0, clamp)
+    return got is p
 
 
-def test_cholesky_rejection_at_the_clamp():
-    # cond = clamp * (1 +/- 1e-9): the SVD accepts below the clamp, and the
-    # test must leave those to it
-    for n in (2, 3, 8, 32):
-        for clamp in (50.0, 1e3):
-            shift = generators._rejection_shift(n, clamp)
+def test_random_invertible_decides_at_the_clamp():
+    # cond = clamp * (1 -/+ 1e-6) is accepted below the clamp and rejected
+    # above it; far closer margins are below the test's resolution
+    for n in (2, 3, 8, 32, 64):
+        for clamp in (50.0, 1e3, 1e4):
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
                 q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
-                for side in (1 - 1e-9, 1 + 1e-9):
-                    sv = np.geomspace(1.0, 1.0 / (clamp * side), n)
-                    p = (q1 * sv) @ q2
-                    if _svd_accepts(p, clamp):
-                        assert not generators._surely_ill_conditioned(p, shift)
+                for side in (1 - 1e-6, 1 + 1e-6):
+                    p = (q1 * np.geomspace(1.0, 1.0 / (clamp * side), n)) @ q2
+                    assert _accepts(p, clamp) == (side < 1), (n, clamp, seed, side)
 
 
-def test_cholesky_rejection_is_off_where_its_margin_is_large():
-    assert 0 < generators._rejection_shift(32, 1e3) < 1e-6
-    assert generators._rejection_shift(32, 1e8) == 0.0
+def test_random_invertible_rejects_a_clamp_it_cannot_meet():
+    # no matrix has cond < 1, so such a clamp used to loop forever; the calls
+    # run in a child process, so a hang fails the test instead of the suite
+    probe = ("import gentangent as gt\n"
+             "for c in (1.0, 0.5, float('nan'), 1e5):\n"
+             "    try:\n"
+             "        gt.random_invertible(3, gt.SplitMix64(1), c)\n"
+             "    except ValueError:\n"
+             "        print('refused', c)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    try:
+        ran = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, env=env, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("random_invertible did not return")
+    assert ran.stdout.split("\n")[:-1] == [
+        "refused 1.0", "refused 0.5", "refused nan", "refused 100000.0"], ran.stderr
+    assert gt.random_invertible(3, gt.SplitMix64(1), 1e4).shape == (3, 3)

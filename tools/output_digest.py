@@ -26,6 +26,10 @@ digest covers the exit code, stdout and stderr of every run in its group:
 - the files that ``fixtures --dim {1,2,3,5,8} --seed {1,2}`` writes, by name
   and content (the paths it prints name a temporary directory)
 
+The ``draws`` group calls the library instead: the bytes of
+``random_invertible(n, SplitMix64(seed), clamp)`` and the ``next_u64()`` after
+it, for n in {1, 2, 3, 4, 8, 16, 32}, clamp in {50, 100, 1e3} and seeds 1-50.
+
 Only the standard library and gentangent are used.  The verify groups take
 most of the run, about half a minute.
 """
@@ -50,6 +54,9 @@ TRIPLE_DIMS = (2, 4)
 TRIPLE_SEEDS = (1, 2, 3)
 FIXTURE_DIMS = (1, 2, 3, 5, 8)
 FIXTURE_SEEDS = (1, 2)
+DRAW_DIMS = (1, 2, 3, 4, 8, 16, 32)
+DRAW_CLAMPS = (50.0, 100.0, 1e3)
+DRAW_SEEDS = range(1, 51)
 
 
 def run(main, args, stdin=""):
@@ -123,6 +130,17 @@ def triple_documents():
                                           "operator2": blocks(second)})
 
 
+def draws():
+    from gentangent.generators import SplitMix64, random_invertible
+
+    for n in DRAW_DIMS:
+        for clamp in DRAW_CLAMPS:
+            for seed in DRAW_SEEDS:
+                rng = SplitMix64(seed)
+                p = random_invertible(n, rng, clamp)
+                yield p.tobytes().hex(), rng.next_u64()
+
+
 def groups(main, family_ids):
     """(group name, records) in a fixed order."""
     for dim, trials in VERIFY_RUNS:
@@ -154,6 +172,7 @@ def groups(main, family_ids):
                         files.append((name, fh.read()))
                 records.append((code, err, files))
     yield "fixtures", records
+    yield "draws", list(draws())
 
 
 def main():
