@@ -9,13 +9,15 @@ Input schema (matrices row-major, numbers as decimal doubles)::
      "operator2": {... same shape, optional, for triple classification; not with metric ...},
      "metric":    {"gram": [[...]], "kind": "symmetric"},
      "family":    "<optional family id>",
-     "base":      {"g": [[...]], "J": [[...]], "omega": [[...]], "b": [[...]]}}
+     "base":      {"g": [[...]], "J": [[...], needs g], "omega": [[...], not with g]}}
 
 A family id plus base data may replace the explicit operator blocks; given
 next to them (as ``build`` writes it), the built operator must match the
-blocks.  Classification output holds n, the operator it classified (the
-blocks, or the one built from family and base), operator2 or metric, and
-the classification fields at top level, so it can be re-ingested unchanged.
+blocks.  The base that ``fixtures`` writes into its Kähler file also holds
+the 2-form ``b``, which ``classify`` and ``build`` never read.
+Classification output holds n, the operator it classified (the blocks, or
+the one built from family and base), operator2 or metric, and the
+classification fields at top level, so it can be re-ingested unchanged.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 stdout closed by its reader (as a shell reports a writer killed by SIGPIPE).
@@ -58,20 +60,16 @@ class InputError(Exception):
 
 
 def _tolerance(args):
-    from .core import Tolerance
+    from .core import DEFAULT_TOL, Tolerance
 
-    value = 1e-9
     env = os.environ.get("GENTANGENT_TOL")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise InputError(f"GENTANGENT_TOL is not a number: {env!r}")
+    try:
+        value = None if env is None else float(env)
+    except ValueError:
+        raise InputError(f"GENTANGENT_TOL is not a number: {env!r}")
     if getattr(args, "tol", None) is not None:
         value = args.tol
-    if value <= 0:
-        raise InputError("tolerance must be positive")
-    return Tolerance(value, value)
+    return DEFAULT_TOL if value is None else Tolerance(value, value)
 
 
 def _matrix(doc, key, n, context):
@@ -152,6 +150,8 @@ def _read_base(doc, n, tol):
         raise InputError("base: expected an object")
     if "g" in doc and "omega" in doc:
         raise InputError("base: g and omega exclude each other")
+    if "J" in doc and "g" not in doc:
+        raise InputError("base: J needs g")
     if "omega" in doc:
         return BaseForm(_of_kind(_matrix(doc, "omega", n, "base"), SKEW, tol, "base: omega"), SKEW)
     if "g" not in doc:

@@ -77,6 +77,10 @@ class Tolerance(_ReadOnly):
     def __repr__(self):
         return f"Tolerance(abs={self.abs!r}, rel={self.rel!r})"
 
+    def _admits(self, residual, s, scale):
+        """The one verdict rule, elementwise: residual <= abs * s + rel * scale."""
+        return residual <= self.abs * s + self.rel * scale
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -95,8 +99,8 @@ def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Both sides are first multiplied by the power of two s that brings the
     largest entry into [0.5, 1).  That is exact, so the answer is unchanged,
-    but on finite input the norms can no longer overflow, nor underflow to
-    zero.
+    but finite norms can no longer overflow, nor underflow to zero.  The
+    verdict is ``Tolerance._admits`` at (s, scale) = (s, max(||sa||, ||sb||)).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -105,7 +109,7 @@ def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     s = 2.0 ** -max(math.frexp(peak)[1], -1023)
     a, b = s * a, s * b
     scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    return np.linalg.norm(a - b) <= tol.abs * s + tol.rel * scale
+    return tol._admits(np.linalg.norm(a - b), s, scale)
 
 
 class GeneralizedVector(_ReadOnly):
@@ -299,15 +303,15 @@ def dual_map(a) -> np.ndarray:
 
 
 def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Scale-invariant singularity test on the singular values:
-    sigma_min <= tol.abs * max(sigma_max, 1).
+    """Scale-invariant singularity test on the singular values, sigma_min <=
+    tol.abs * max(sigma_max, 1): ``Tolerance._admits`` at (max(sigma_max, 1), 0).
 
     This is the one definition of "degenerate".  Callers that invert the
     matrix anyway ask ``_inverse_unless_degenerate``, which gives the same
     answer and runs this SVD only where its cheaper certificate is silent.
     """
     sv = np.linalg.svd(gram, compute_uv=False)
-    return sv.size == 0 or sv[-1] <= tol.abs * max(sv[0], 1.0)
+    return sv.size == 0 or tol._admits(sv[-1], max(sv[0], 1.0), 0)
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -412,16 +416,16 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
 def signature(f, tol: Tolerance = DEFAULT_TOL):
     """Counts (r, s) of positive/negative eigenvalues of a symmetric form.
 
-    An eigenvalue within tol.abs of zero raises ``DegenerateFormError``.  The
-    counts are computed once per (form, tol) and kept on the form; errors
-    are not kept, so each call with that tolerance raises again.
+    An eigenvalue within tol.abs of zero, ``Tolerance._admits`` of |lambda| at
+    (1, 0), raises ``DegenerateFormError``.  The counts are kept on the form
+    per tol; errors are not kept, so each call with that tolerance raises again.
     """
     if f.kind != SYMMETRIC:
         raise ValueError("signature is defined for symmetric forms only")
     key = ("signature", tol)
     if key not in f._facts:
         eig = np.linalg.eigvalsh(0.5 * (f.gram + f.gram.T))
-        if np.any(np.abs(eig) <= tol.abs):
+        if np.any(tol._admits(np.abs(eig), 1, 0)):
             raise DegenerateFormError("eigenvalue within tolerance of zero")
         r = int(np.sum(eig > 0))
         f._facts[key] = r, eig.size - r
@@ -454,8 +458,8 @@ NEITHER = PolynomialClass("neither")
 def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> PolynomialClass:
     """Classify a block operator as almost complex, almost product or neither.
 
-    Almost product demands op != +/-Id even though those square to the
-    identity; the structures of interest are proper.
+    Each test is ``Tolerance._admits`` at (0, ||I||): op^2 = -I, op^2 = I and,
+    as the structures of interest are proper, op != +/-Id for almost product.
 
     The +1 and -1 eigenspace dimensions of an almost product structure are
     counted from the trace, plus = round((2n + trace) / 2).  This is exact
@@ -473,10 +477,10 @@ def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> Polynom
     sq = m @ m
     ident = np.eye(m.shape[0])
     nid = np.linalg.norm(ident)
-    if np.linalg.norm(sq + ident) <= tol.rel * nid:
+    if tol._admits(np.linalg.norm(sq + ident), 0, nid):
         return PolynomialClass("complex")
-    if np.linalg.norm(sq - ident) <= tol.rel * nid:
-        if np.linalg.norm(m - ident) <= tol.rel * nid or np.linalg.norm(m + ident) <= tol.rel * nid:
+    if tol._admits(np.linalg.norm(sq - ident), 0, nid):
+        if any(tol._admits(np.linalg.norm(m - sign * ident), 0, nid) for sign in (1, -1)):
             return NEITHER
         size = m.shape[0]
         if tol.rel * size**1.5 < 1:

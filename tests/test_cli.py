@@ -216,6 +216,9 @@ def test_tol_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch,
                            ["verify", "P3.signature", "--trials", "1"])
     assert code == 2
+    # the variable is read even where --tol overrides it
+    assert run_cli(capsys, monkeypatch, ["verify", "P3.signature", "--tol", "1e-6"]) == (
+        2, "", "error: GENTANGENT_TOL is not a number: 'not-a-number'\n")
     monkeypatch.setenv("GENTANGENT_TOL", "1e-6")
     code, _, _ = run_cli(capsys, monkeypatch,
                          ["verify", "P3.signature", "--trials", "1"])
@@ -226,6 +229,22 @@ def test_tol_flag_must_be_positive(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch,
                            ["verify", "P3.signature", "--tol", "-1"])
     assert code == 2
+
+
+# Tolerance itself refuses these values; the CLI passes its message on
+TOL_ERRORS = {"0": "at least one tolerance must be positive",
+              "-1": "tolerances must be nonnegative",
+              "nan": "tolerances must be finite",
+              "inf": "tolerances must be finite"}
+
+
+@pytest.mark.parametrize("value", list(TOL_ERRORS))
+def test_tolerance_that_is_not_positive_and_finite_exits_2(capsys, monkeypatch, value):
+    args = ["verify", "P2.flat-sharp", "--trials", "1"]
+    want = (2, "", f"error: {TOL_ERRORS[value]}\n")
+    assert run_cli(capsys, monkeypatch, args + ["--tol", value]) == want
+    monkeypatch.setenv("GENTANGENT_TOL", value)
+    assert run_cli(capsys, monkeypatch, args) == want
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -494,6 +513,19 @@ def test_base_with_both_g_and_omega_exits_2(capsys, monkeypatch):
     base = {"g": [[2.0, 0.0], [0.0, 2.0]], "omega": [[0.0, 1.0], [-1.0, 0.0]]}
     message = "error: base: g and omega exclude each other\n"
     for family in ("Jg", "Jom"):
+        code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
+                                 json.dumps({"n": 2, "base": base}))
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
+                                 json.dumps({"n": 2, "family": family, "base": base}))
+        assert (code, out, err) == (2, "", message)
+
+
+def test_base_with_j_and_no_g_exits_2(capsys, monkeypatch):
+    # J is read only beside g: next to omega it would be dropped
+    base = {"omega": [[0.0, 1.0], [-1.0, 0.0]], "J": [[0.0, -1.0], [1.0, 0.0]]}
+    message = "error: base: J needs g\n"
+    for family in ("Jom", "JlamJ+"):
         code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
                                  json.dumps({"n": 2, "base": base}))
         assert (code, out, err) == (2, "", message)

@@ -35,6 +35,18 @@ def test_tolerance_is_a_value():
             gt.Tolerance(*bad)
 
 
+def test_admits_is_inclusive_at_its_bound():
+    # the rule compares, it never divides: a residual equal to its bound
+    # passes, and so does a zero residual at a zero bound
+    tol = gt.Tolerance(0.5, 0.25)
+    assert tol._admits(2.0, 2, 4)
+    assert not tol._admits(np.nextafter(2.0, 3.0), 2, 4)
+    assert list(tol._admits(np.array([0.0, 2.0, 3.0]), 2, 4)) == [True, True, False]
+    rel_only = gt.Tolerance(0.0, 1e-9)
+    assert rel_only._admits(0.0, 1, 0)
+    assert not rel_only._admits(5e-324, 1, 0)
+
+
 def _records():
     """One object of each slotted record class of core."""
     g = np.diag([1.0, 2.0])
@@ -274,6 +286,14 @@ def test_signature_known_values():
         gt.signature(nearly)
 
 
+def test_signature_at_zero_abs_raises_on_an_exact_zero_only():
+    # rel plays no part: the bound on |lambda| is abs = 0, which 0 meets
+    tol = gt.Tolerance(0.0, 1e-9)
+    with pytest.raises(gt.DegenerateFormError):
+        gt.signature(gt.BilinearForm(np.diag([1.0, 0.0, -2.0, 3.0]), gt.SYMMETRIC), tol)
+    assert gt.signature(gt.BaseForm(np.diag([1.0, -1e-300]), gt.SYMMETRIC), tol) == (1, 1)
+
+
 def test_signature_congruence_invariant():
     """Sylvester: signature survives congruence by any invertible matrix."""
     rng = gt.SplitMix64(23)
@@ -308,6 +328,17 @@ def test_polynomial_class_excludes_identity():
     ident = gt.BlockOperator.from_matrix(np.eye(4))
     assert gt.polynomial_class(ident) == NEITHER
     assert gt.polynomial_class(gt.BlockOperator.from_matrix(-np.eye(4))) == NEITHER
+
+
+def test_polynomial_class_at_zero_rel_demands_exact_squares():
+    # abs plays no part: each bound is rel * ||I|| = 0.  f0's square is I
+    # exactly; one ulp off in one entry, it is not
+    tol = gt.Tolerance(1e-9, 0.0)
+    pc = gt.polynomial_class(gt.f0(2), tol)
+    assert (pc.kind, pc.plus_dim, pc.minus_dim) == ("product", 2, 2)
+    m = gt.f0(2).assemble().copy()
+    m[0, 0] = np.nextafter(m[0, 0], 0.0)
+    assert gt.polynomial_class(gt.BlockOperator.from_matrix(m), tol) == NEITHER
 
 
 def test_polynomial_class_neither():

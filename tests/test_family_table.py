@@ -9,10 +9,10 @@ M = [[H, S], [T, K]]:
     M^T Gg M = [[H^T g H + T^T g^-1 T, H^T g S + T^T g^-1 K],
                 [S^T g H + K^T g^-1 T, S^T g S + K^T g^-1 K]]
 
-with 2 G0 = [[0, I], [I, 0]] and Gg = [[g, 0], [0, g^-1]].  At n = 4, G0 has
-signature (4, 4); Gg has (8, 0) on Hermitian and ProductRiemannian data, whose
-g is positive definite, and (4, 4) on the other three kinds, whose g is
-neutral.  The names: alpha = -1 is Norden for eps = -1, else Hermitian on a
+with 2 G0 = [[0, I], [I, 0]] and Gg = [[g, 0], [0, g^-1]].  At dimension n,
+G0 has signature (n, n); Gg has (2n, 0) on Hermitian and ProductRiemannian
+data, whose g is positive definite, and (n, n) on the other three kinds, whose
+g is neutral.  The names: alpha = -1 is Norden for eps = -1, else Hermitian on a
 Riemannian metric and IndefiniteHermitian otherwise; alpha = +1 is
 ParaHermitian for eps = -1, else ParaNorden (equal +1 and -1 eigenspaces) or
 ProductRiemannian on a Riemannian metric and ProductPseudoRiemannian otherwise.
@@ -26,11 +26,14 @@ import pytest
 import gentangent as gt
 from gentangent import registry
 from gentangent.ae_zoo import FAMILIES, FAMILY_IDS, MIXED, TRIANGULAR, TWIN_FORMULA_FAMILIES
+from gentangent.generators import fixture_dim
 
 H, IH, N, PH, PR = ("Hermitian", "IndefiniteHermitian", "Norden", "ParaHermitian",
                     "ProductRiemannian")
 X = ("Incompatible", None, None, None)
-RIEMANNIAN, NEUTRAL = (8, 0), (4, 4)
+# the signatures at dimension m: (2m, 0) and (m, m)
+RIEMANNIAN, NEUTRAL = "Riemannian", "neutral"
+DIMS = (2, 4, 6, 8, 16, 32)
 
 # (family, kind of (J, g) data) -> (class against G0, class against Gg)
 PINS = {
@@ -47,7 +50,7 @@ PINS = {
     ("JlamJ-", N): (("IndefiniteHermitian", -1, 1, NEUTRAL), ("Norden", -1, -1, NEUTRAL)),
     # diag(F, lam F^T), alpha = +1: M^2 = I.  G0: eps = lam alpha = lam.  Gg:
     # eps is the data's.  ProductRiemannian data is drawn with F of n/2
-    # eigenvalues +1 and n/2 eigenvalues -1, so diag(F, +-F^T) has 4 of each:
+    # eigenvalues +1 and n/2 eigenvalues -1, so diag(F, +-F^T) has n of each:
     # ParaNorden.
     ("FlamF+", PH): (("ProductPseudoRiemannian", 1, 1, NEUTRAL), ("ParaHermitian", 1, -1, NEUTRAL)),
     ("FlamF+", PR): (("ProductPseudoRiemannian", 1, 1, NEUTRAL), ("ParaNorden", 1, 1, RIEMANNIAN)),
@@ -97,14 +100,26 @@ def test_pins_cover_fifty_cells():
     assert {f for f, _ in PINS} == {f for f, row in FAMILIES.items() if row.on_g0}
 
 
-@pytest.mark.parametrize("family, kind", list(PINS))
-def test_cell_classifies_as_pinned(family, kind):
+def _at(pin, m):
+    """A pinned class with its signature at dimension m."""
+    signature = {RIEMANNIAN: (2 * m, 0), NEUTRAL: (m, m), None: None}[pin[3]]
+    return (*pin[:3], signature)
+
+
+# each cell at every dimension its kind's fixtures are drawn at; the n = 4
+# cases, the dimension of the derivations above, keep the plain cell id
+CELLS = sorted({(family, kind, fixture_dim(n, kind)) for family, kind in PINS for n in DIMS})
+
+
+@pytest.mark.parametrize("family, kind, n", [
+    pytest.param(f, k, n, id=f"{f}-{k}" if n == 4 else f"{f}-{k}-n{n}") for f, k, n in CELLS])
+def test_cell_classifies_as_pinned(family, kind, n):
     on_g0, on_gg = PINS[family, kind]
     for seed in range(10):
-        data = gt.random_ae_pair(kind, 4, seed)
+        data = gt.random_ae_pair(kind, n, seed)
         op = gt.build_family(family, data)
-        assert tuple(gt.classify_pair(op, gt.g0(4))) == on_g0
-        assert tuple(gt.classify_pair(op, gt.induced_metric(data.g))) == on_gg
+        assert tuple(gt.classify_pair(op, gt.g0(n))) == _at(on_g0, n)
+        assert tuple(gt.classify_pair(op, gt.induced_metric(data.g))) == _at(on_gg, n)
 
 
 def test_table_states_the_pinned_classes():

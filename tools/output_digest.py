@@ -30,6 +30,20 @@ The ``draws`` group calls the library instead: the bytes of
 ``random_invertible(n, SplitMix64(seed), clamp)`` and the ``next_u64()`` after
 it, for n in {1, 2, 3, 4, 8, 16, 32}, clamp in {50, 100, 1e3} and seeds 1-50.
 
+The ``tolerances`` group runs the rule at tolerances other than the default.
+The CLI sets abs = rel, so it also calls the library with the two apart, where
+a rule that swapped them would answer differently:
+
+- ``verify all --dim 3 --trials 20`` and, for every family, ``build --dim 4``
+  and the ``classify -`` of its output, at ``--tol 1e-6`` and ``--tol 1e-12``
+  and once at ``GENTANGENT_TOL=1e-6``
+- ``close``, ``is_degenerate``, ``polynomial_class`` and ``classify_pair``
+  at ``Tolerance(1e-3, 1e-12)`` and ``Tolerance(1e-12, 1e-3)``, on each
+  family's operator of the ``build --dim 4`` seed, on that operator plus
+  1e-6 in every entry and on it with its first column scaled by 1e-6;
+  ``classify_pair`` and ``signature`` against G0 and against G0 with one
+  eigenvalue pair moved to +/-5e-5
+
 Only the standard library and gentangent are used.  The verify groups take
 most of the run, about half a minute.
 """
@@ -57,6 +71,8 @@ FIXTURE_SEEDS = (1, 2)
 DRAW_DIMS = (1, 2, 3, 4, 8, 16, 32)
 DRAW_CLAMPS = (50.0, 100.0, 1e3)
 DRAW_SEEDS = range(1, 51)
+TOLERANCE_VALUES = ("1e-6", "1e-12")
+TOLERANCE_NUDGE = 1e-6
 
 
 def run(main, args, stdin=""):
@@ -141,6 +157,64 @@ def draws():
                 yield p.tobytes().hex(), rng.next_u64()
 
 
+def tolerance_runs(main, family_ids):
+    """CLI runs at --tol 1e-6 and 1e-12, then at GENTANGENT_TOL=1e-6."""
+    settings = [(["--tol", value], None) for value in TOLERANCE_VALUES]
+    settings.append(([], TOLERANCE_VALUES[0]))
+    saved = os.environ.pop("GENTANGENT_TOL", None)
+    try:
+        for tol_args, env in settings:
+            if env is not None:
+                os.environ["GENTANGENT_TOL"] = env
+            yield verify(main, ["--dim", "3", "--trials", "20", *tol_args])
+            for family in family_ids:
+                built = run(main, ["build", family, "--dim", "4", *tol_args])
+                yield built
+                yield run(main, ["classify", "-", "--format", "json", *tol_args],
+                          stdin=built[1])
+    finally:
+        os.environ.pop("GENTANGENT_TOL", None)
+        if saved is not None:
+            os.environ["GENTANGENT_TOL"] = saved
+
+
+def tolerance_calls(family_ids):
+    """Library predicates at tolerances whose abs and rel differ."""
+    import numpy as np
+
+    from gentangent.ae_zoo import FAMILIES, build_family, classify_pair
+    from gentangent.canonical import g0
+    from gentangent.core import (SYMMETRIC, BilinearForm, BlockOperator, Tolerance, close,
+                                 is_degenerate, polynomial_class, signature)
+    from gentangent.errors import GentangentError
+    from gentangent.generators import random_base
+
+    def outcome(call, *args):
+        try:
+            return repr(call(*args))
+        except (GentangentError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    n = 4
+    ident = np.eye(2 * n)
+    # G0 with its eigenvalue pair +/-1/2 on span(e_1, f_1) moved to +/-5e-5
+    squeeze = np.ones(2 * n)
+    squeeze[[0, n]] = 1e-2
+    metrics = (g0(n), BilinearForm(squeeze[:, None] * g0(n).gram * squeeze, SYMMETRIC))
+    column = np.ones(2 * n)
+    column[0] = TOLERANCE_NUDGE
+    for tol in (Tolerance(1e-3, 1e-12), Tolerance(1e-12, 1e-3)):
+        for family in family_ids:
+            op = build_family(family, random_base(FAMILIES[family].base_kind, n, 42), tol)
+            for m in (op.matrix, op.matrix + TOLERANCE_NUDGE, op.matrix * column):
+                moved, sq = BlockOperator.from_matrix(m), m @ m
+                yield (family, repr(tol), outcome(close, sq, ident, tol),
+                       outcome(close, sq, -ident, tol), outcome(is_degenerate, m, tol),
+                       outcome(polynomial_class, moved, tol),
+                       *(outcome(classify_pair, moved, metric, tol) for metric in metrics))
+        yield repr(tol), *(outcome(signature, metric, tol) for metric in metrics)
+
+
 def groups(main, family_ids):
     """(group name, records) in a fixed order."""
     for dim, trials in VERIFY_RUNS:
@@ -173,6 +247,7 @@ def groups(main, family_ids):
                 records.append((code, err, files))
     yield "fixtures", records
     yield "draws", list(draws())
+    yield "tolerances", [*tolerance_runs(main, family_ids), *tolerance_calls(family_ids)]
 
 
 def main():
