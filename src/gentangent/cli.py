@@ -6,18 +6,19 @@ Input schema (matrices row-major, numbers as decimal doubles)::
 
     {"n": int,
      "operator":  {"H": [[...]], "sigma": [[...]], "tau": [[...]], "K": [[...]]},
-     "operator2": {... same shape, optional, for triple classification; not with metric ...},
-     "metric":    {"gram": [[...]], "kind": "symmetric"},
-     "family":    "<optional family id>",
-     "base":      {"g": [[...]], "J": [[...], needs g], "omega": [[...], not with g]}}
+     "operator2": {... same keys, for triple classification ...},
+     "metric":    {"gram": [[...]], "kind": "symmetric" (optional)},
+     "family":    "<family id>",
+     "base":      {"omega": [[...]]} or {"g": [[...]], "J": [[...]] (optional)}}
 
-A family id plus base data may replace the explicit operator blocks; given
-next to them (as ``build`` writes it), the built operator must match the
-blocks.  The base that ``fixtures`` writes into its Kähler file also holds
-the 2-form ``b``, which ``classify`` and ``build`` never read.
-Classification output holds n, the operator it classified (the blocks, or
-the one built from family and base), operator2 or metric, and the
-classification fields at top level, so it can be re-ingested unchanged.
+``classify`` reads n, then operator or family + base (an operator beside
+them, as ``build`` writes it, must match the built one), then operator2 or
+metric; ``build --input`` reads n and base, and excludes --dim and --seed.
+At top level both also accept, unread, the keys of ``UNREAD``: the seed
+that ``fixtures`` writes, and the classification fields that ``classify``
+writes beside n, the operator it classified and operator2 or metric, so that
+its output reads back unchanged.  Any other key exits 2, as does the Kähler
+file of ``fixtures`` (its ``kahler`` object, and ``b`` in its base).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 stdout closed by its reader (as a shell reports a writer killed by SIGPIPE).
@@ -57,6 +58,24 @@ def __getattr__(name):
 
 class InputError(Exception):
     """Schema or validation problem in a CLI input document; exits 2."""
+
+
+# Top-level keys accepted and never read: ``fixtures`` writes seed as
+# provenance, and ``classify`` writes the rest, so that its output reads back.
+UNREAD = ("seed", "class", "alpha", "epsilon", "signature", "fundamental", "inducer", "triple")
+BLOCKS = ("H", "sigma", "tau", "K")
+
+
+def _read_keys(doc, context, read, unread=()):
+    """doc, if it is an object whose every key its reader reads or accepts unread;
+    ``read`` names the keys read, or picks them from doc where it is a function."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{context}: expected an object")
+    read = read(doc) if callable(read) else read
+    for key in doc:
+        if key not in read and key not in unread:
+            raise InputError(f"{context}: unexpected key {key!r} (reads {', '.join(read)})")
+    return doc
 
 
 def _tolerance(args):
@@ -108,14 +127,8 @@ def _read_n(doc):
 def _read_operator(doc, n, context="operator"):
     from .core import BlockOperator
 
-    if not isinstance(doc, dict) or not doc:
-        raise InputError(f"{context}: expected an object with H, sigma, tau, K")
-    return BlockOperator(
-        _matrix(doc, "H", n, context),
-        _matrix(doc, "sigma", n, context),
-        _matrix(doc, "tau", n, context),
-        _matrix(doc, "K", n, context),
-    )
+    _read_keys(doc, context, BLOCKS)
+    return BlockOperator(*(_matrix(doc, key, n, context) for key in BLOCKS))
 
 
 def _of_kind(gram, kind, tol, what):
@@ -131,9 +144,7 @@ def _of_kind(gram, kind, tol, what):
 def _read_metric(doc, n, tol):
     from .core import GENERAL, SKEW, SYMMETRIC, BilinearForm
 
-    if not isinstance(doc, dict):
-        raise InputError("metric: expected an object with a gram matrix")
-    gram = _matrix(doc, "gram", 2 * n, "metric")
+    gram = _matrix(_read_keys(doc, "metric", ("gram", "kind")), "gram", 2 * n, "metric")
     kind = doc.get("kind", SYMMETRIC)
     # a tuple test, not a dict lookup: a JSON list or object is unhashable
     if kind not in (SYMMETRIC, SKEW, GENERAL):
@@ -146,16 +157,8 @@ def _read_base(doc, n, tol):
     from .ae_zoo import AeManifoldData
     from .core import SKEW, SYMMETRIC, BaseForm
 
-    if not isinstance(doc, dict):
-        raise InputError("base: expected an object")
-    if "g" in doc and "omega" in doc:
-        raise InputError("base: g and omega exclude each other")
-    if "J" in doc and "g" not in doc:
-        raise InputError("base: J needs g")
-    if "omega" in doc:
+    if "omega" in _read_keys(doc, "base", lambda d: ("omega",) if "omega" in d else ("g", "J")):
         return BaseForm(_of_kind(_matrix(doc, "omega", n, "base"), SKEW, tol, "base: omega"), SKEW)
-    if "g" not in doc:
-        raise InputError("base: needs at least g or omega")
     g = BaseForm(_of_kind(_matrix(doc, "g", n, "base"), SYMMETRIC, tol, "base: g"), SYMMETRIC)
     if "J" not in doc:
         return g
@@ -171,8 +174,7 @@ def _read_base(doc, n, tol):
 
 
 def _operator_doc(op) -> dict:
-    return {"H": op.H.tolist(), "sigma": op.sigma.tolist(),
-            "tau": op.tau.tolist(), "K": op.K.tolist()}
+    return {key: getattr(op, key).tolist() for key in BLOCKS}
 
 
 def _resolve_operator(doc, n, tol):
@@ -182,8 +184,6 @@ def _resolve_operator(doc, n, tol):
     if "family" not in doc:
         if "operator" not in doc:
             raise InputError("document has neither operator blocks nor a family id")
-        if "base" in doc:
-            raise InputError("base data next to operator blocks needs a family id")
         return _read_operator(doc["operator"], n)
     if "base" not in doc:
         raise InputError("a family id needs base data")
@@ -204,11 +204,10 @@ def _classify(doc, tol):
     from .ae_zoo import INCOMPATIBLE, classify_pair, fundamental_tensor
     from .gen_metrics import metric_from_endomorphism, symplectic_from_endomorphism
 
-    if not isinstance(doc, dict):
-        raise InputError("top level: expected a JSON object")
+    _read_keys(doc, "top level", lambda d: (
+        "n", *(("family", "base", "operator") if "family" in d else ("operator",)),
+        "operator2" if "operator2" in d else "metric"), UNREAD)
     n = _read_n(doc)
-    if "operator2" in doc and "metric" in doc:
-        raise InputError("operator2 (a triple) and metric (a pair) exclude each other")
     op = _resolve_operator(doc, n, tol)
     out = {"n": n, "operator": _operator_doc(op)}
     if "operator2" in doc:
@@ -353,15 +352,17 @@ def cmd_build(args) -> int:
               file=sys.stderr)
         return 2
     if args.input is not None:
-        doc = _load_json(args.input)
-        if not isinstance(doc, dict) or "base" not in doc:
+        if args.dim is not None or args.seed is not None:
+            raise InputError("--input excludes --dim and --seed")
+        doc = _read_keys(_load_json(args.input), "top level", ("n", "base"), UNREAD)
+        if "base" not in doc:
             raise InputError("build input needs a base block")
-        n = _read_n(doc)
-        base = _read_base(doc["base"], n, tol)
+        base = _read_base(doc["base"], _read_n(doc), tol)
     else:
         from .generators import random_base
 
-        base = random_base(FAMILIES[args.family].base_kind, args.dim, args.seed)
+        base = random_base(FAMILIES[args.family].base_kind, args.dim or 3,
+                           42 if args.seed is None else args.seed)
     op = build_family(args.family, base, tol)
     out = {"n": op.n, "family": args.family, "base": _base_doc(base),
            "operator": _operator_doc(op)}
@@ -457,8 +458,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("--input", default=None,
                    help="JSON with base data ('-' for stdin); default: seeded random base")
-    p.add_argument("--dim", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--dim", type=_positive_int, default=None, help="default 3")
+    p.add_argument("--seed", type=int, default=None, help="default 42")
     common(p, formats=False)
     p.set_defaults(func=cmd_build)
 

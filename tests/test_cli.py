@@ -511,7 +511,7 @@ def test_base_form_not_of_its_kind_exits_2(capsys, monkeypatch, family, base, me
 def test_base_with_both_g_and_omega_exits_2(capsys, monkeypatch):
     # reading one and dropping the other would answer a question not asked
     base = {"g": [[2.0, 0.0], [0.0, 2.0]], "omega": [[0.0, 1.0], [-1.0, 0.0]]}
-    message = "error: base: g and omega exclude each other\n"
+    message = "error: base: unexpected key 'g' (reads omega)\n"
     for family in ("Jg", "Jom"):
         code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
                                  json.dumps({"n": 2, "base": base}))
@@ -524,7 +524,7 @@ def test_base_with_both_g_and_omega_exits_2(capsys, monkeypatch):
 def test_base_with_j_and_no_g_exits_2(capsys, monkeypatch):
     # J is read only beside g: next to omega it would be dropped
     base = {"omega": [[0.0, 1.0], [-1.0, 0.0]], "J": [[0.0, -1.0], [1.0, 0.0]]}
-    message = "error: base: J needs g\n"
+    message = "error: base: unexpected key 'J' (reads omega)\n"
     for family in ("Jom", "JlamJ+"):
         code, out, err = run_cli(capsys, monkeypatch, ["build", family, "--input", "-"],
                                  json.dumps({"n": 2, "base": base}))
@@ -532,6 +532,57 @@ def test_base_with_j_and_no_g_exits_2(capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"],
                                  json.dumps({"n": 2, "family": family, "base": base}))
         assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("where, key, message", [
+    (None, "bogus", "top level: unexpected key 'bogus' (reads n, family, base, operator, metric)"),
+    ("metric", "extra", "metric: unexpected key 'extra' (reads gram, kind)"),
+    ("operator", "L", "operator: unexpected key 'L' (reads H, sigma, tau, K)"),
+    ("base", "b", "base: unexpected key 'b' (reads g, J)"),
+], ids=["top-level", "metric", "operator", "base-b"])
+def test_key_no_reader_reads_exits_2_naming_it(capsys, monkeypatch, where, key, message):
+    # the family id, base and operator that build writes, and a metric
+    code, out, _ = run_cli(capsys, monkeypatch, ["build", "JJgFlat", "--dim", "2", "--seed", "3"])
+    doc = json.loads(out)
+    doc["metric"] = {"gram": gt.g0(2).gram.tolist(), "kind": "symmetric"}
+    code, out, _ = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc))
+    assert code == 0
+    (doc if where is None else doc[where])[key] = 3
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_key_in_operator2_exits_2(capsys, monkeypatch):
+    block = {"H": [[0]], "sigma": [[-1]], "tau": [[1]], "K": [[0]]}
+    doc = {"n": 1, "operator": block, "operator2": {**block, "sigma2": [[0]]}}
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: operator2: unexpected key 'sigma2' (reads H, sigma, tau, K)\n"
+
+
+def test_classify_output_and_fixture_seed_read_back(capsys, monkeypatch):
+    # the fields classify writes and the seed fixtures writes are accepted unread
+    block = {"H": [[0]], "sigma": [[-1]], "tau": [[1]], "K": [[0]]}
+    for doc in ({"n": 1, "seed": 7, "operator": block},
+                {"n": 1, "operator": block, "operator2": block}):
+        code, out, _ = run_cli(capsys, monkeypatch, ["classify", "-", "--format", "json"],
+                               json.dumps(doc))
+        assert code == 0 and ("inducer" in out or "triple" in out)
+        code, again, _ = run_cli(capsys, monkeypatch, ["classify", "-", "--format", "json"], out)
+        assert (code, again) == (0, out)
+    code, out, _ = run_cli(capsys, monkeypatch, ["build", "Jg", "--input", "-"],
+                           json.dumps({"n": 1, "seed": 7, "base": {"g": [[1]]}}))
+    assert code == 0
+
+
+@pytest.mark.parametrize("option", [["--dim", "5"], ["--seed", "3"], ["--dim", "2", "--seed", "1"]])
+def test_build_input_excludes_dim_and_seed(capsys, monkeypatch, option):
+    # the dimension and the draw come from the document: an option beside it
+    # was dropped without a word
+    doc = {"n": 2, "base": {"g": [[1, 0], [0, 1]]}}
+    code, out, err = run_cli(capsys, monkeypatch, ["build", "Jg", "--input", "-", *option],
+                             json.dumps(doc))
+    assert (code, out, err) == (2, "", "error: --input excludes --dim and --seed\n")
 
 
 def test_classify_operator2_with_metric_exits_2_naming_both(capsys, monkeypatch):

@@ -44,6 +44,11 @@ a rule that swapped them would answer differently:
   ``classify_pair`` and ``signature`` against G0 and against G0 with one
   eigenvalue pair moved to +/-5e-5
 
+The ``inputs`` group runs documents with one key changed (see ``mutants``):
+``classify -`` of every mutant of ``build <family> --dim 2 --seed 3`` for
+every family and of every file of ``fixtures --dim 2 --seed 1``, then
+``build Jg --input -`` of every mutant of the ``metric`` fixture.
+
 Only the standard library and gentangent are used.  The verify groups take
 most of the run, about half a minute.
 """
@@ -73,6 +78,24 @@ DRAW_CLAMPS = (50.0, 100.0, 1e3)
 DRAW_SEEDS = range(1, 51)
 TOLERANCE_VALUES = ("1e-6", "1e-12")
 TOLERANCE_NUDGE = 1e-6
+MUTANT_SEED = 3
+MUTANT_FIXTURE_ARGS = ("--dim", "2", "--seed", "1")
+UNKNOWN_KEY = "extra"
+
+
+def _eye(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+# each key that excludes another: (that partner, a valid value of it at n)
+PARTNERS = {
+    "g": ("omega", lambda n: [[float((j > i) - (j < i)) for j in range(n)] for i in range(n)]),
+    "omega": ("g", _eye),
+    "metric": ("operator2", lambda n: {"H": _eye(n), "sigma": [[0.0] * n] * n,
+                                       "tau": [[0.0] * n] * n, "K": _eye(n)}),
+    "operator2": ("metric", lambda n: {"gram": [[0.5 * (abs(i - j) == n) for j in range(2 * n)]
+                                                for i in range(2 * n)], "kind": "symmetric"}),
+}
 
 
 def run(main, args, stdin=""):
@@ -144,6 +167,52 @@ def triple_documents():
                     for second in members:
                         yield json.dumps({"n": n, "operator": blocks(first),
                                           "operator2": blocks(second)})
+
+
+def mutants(doc):
+    """(change, object, key, mutant) for each one-key change of a CLI document.
+
+    The objects are the top level (``None``) and each object in it.  Each
+    gets the key ``UNKNOWN_KEY``, loses each of its keys in turn, and gets the
+    excluded partner of each key that has one (``PARTNERS``).
+    """
+    n = doc["n"]
+    for where, obj in [(None, doc), *((k, v) for k, v in doc.items() if isinstance(v, dict))]:
+        def put(changed):
+            return changed if where is None else {**doc, where: changed}
+
+        yield "add", where, UNKNOWN_KEY, put({**obj, UNKNOWN_KEY: 1})
+        for key in obj:
+            yield "drop", where, key, put({k: v for k, v in obj.items() if k != key})
+        for key in obj:
+            partner, value = PARTNERS.get(key, (None, None))
+            if partner is not None and partner not in obj:
+                yield "add", where, partner, put({**obj, partner: value(n)})
+
+
+def input_documents(main, family_ids, dims, out_dir):
+    """{name: document}: build output for each family and dimension, then fixture files."""
+    docs = {}
+    for family in family_ids:
+        for dim in dims:
+            _, out, _ = run(main, ["build", family, "--dim", str(dim), "--seed", str(MUTANT_SEED)])
+            docs[f"build {family} --dim {dim}"] = json.loads(out)
+    run(main, ["fixtures", *MUTANT_FIXTURE_ARGS, "--out", out_dir])
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name)) as fh:
+            docs[name] = json.load(fh)
+    return docs
+
+
+def input_runs(main, family_ids):
+    """classify of every mutant at n = 2, then build --input of the metric fixture's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = input_documents(main, family_ids, (2,), tmp)
+    for doc in docs.values():
+        for *_, mutant in mutants(doc):
+            yield run(main, ["classify", "-", "--format", "json"], stdin=json.dumps(mutant))
+    for *_, mutant in mutants(docs["metric.json"]):
+        yield run(main, ["build", "Jg", "--input", "-"], stdin=json.dumps(mutant))
 
 
 def draws():
@@ -248,6 +317,7 @@ def groups(main, family_ids):
     yield "fixtures", records
     yield "draws", list(draws())
     yield "tolerances", [*tolerance_runs(main, family_ids), *tolerance_calls(family_ids)]
+    yield "inputs", list(input_runs(main, family_ids))
 
 
 def main():
