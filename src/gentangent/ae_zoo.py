@@ -23,6 +23,8 @@ from .core import (
     _ReadOnly,
     _assemble,
     _inverse_unless_degenerate,
+    _isometry_sign,
+    _square_sign,
     close,
     dual_map,
     musicals,
@@ -81,11 +83,8 @@ class AeManifoldData(_ReadOnly):
         return self.g.n
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        ident = np.eye(self.n)
-        gm = self.g.gram
-        return close(self.J @ self.J, self.alpha * ident, tol) and close(
-            self.J.T @ gm @ self.J, self.epsilon * gm, tol
-        )
+        return (_square_sign(self.J, tol) == self.alpha
+                and _isometry_sign(self.J, self.g.gram, tol) == self.epsilon)
 
 
 def base_fundamental(data: AeManifoldData) -> BaseForm:
@@ -95,18 +94,9 @@ def base_fundamental(data: AeManifoldData) -> BaseForm:
 
 
 def isometry_sign(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFAULT_TOL):
-    """epsilon with M.T Gram M = epsilon Gram, or None if it is not determined.
-
-    None means that neither sign fits, or that both do: then Gram itself is
-    within the tolerance of zero and the sign cannot be told apart.
-    """
-    m = op.assemble()
-    pulled = m.T @ metric.gram @ m
-    plus = close(pulled, metric.gram, tol)
-    minus = close(pulled, -metric.gram, tol)
-    if plus == minus:
-        return None
-    return +1 if plus else -1
+    """epsilon with M.T Gram M = epsilon Gram, or None if it is not determined:
+    ``core._isometry_sign`` of the operator's matrix and the metric's Gram."""
+    return _isometry_sign(op.assemble(), metric.gram, tol)
 
 
 def classify_pair(op: BlockOperator, metric: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> StructureClass:
@@ -184,9 +174,7 @@ def build_diagonal(a, lam: int, tol: Tolerance = DEFAULT_TOL) -> BlockOperator:
     a = np.asarray(a, dtype=float)
     if lam not in (+1, -1):
         raise ValueError("lam must be +1 or -1")
-    sq = a @ a
-    ident = np.eye(a.shape[0])
-    if not (close(sq, ident, tol) or close(sq, -ident, tol)):
+    if _square_sign(a, tol) is None:
         raise NotPolynomialError("A squares to neither +I nor -I")
     return _diagonal(a, lam)
 

@@ -18,7 +18,9 @@ At top level both also accept, unread, the keys of ``UNREAD``: the seed
 that ``fixtures`` writes, and the classification fields that ``classify``
 writes beside n, the operator it classified and operator2 or metric, so that
 its output reads back unchanged.  Any other key exits 2, as does the Kähler
-file of ``fixtures`` (its ``kahler`` object, and ``b`` in its base).
+file of ``fixtures`` (its ``kahler`` object, and ``b`` in its base).  A base
+(J, g) takes alpha and epsilon from ``core._square_sign`` and
+``core._isometry_sign``, and exits 2 where either is None, as for a zero g.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 stdout closed by its reader (as a shell reports a writer killed by SIGPIPE).
@@ -155,7 +157,7 @@ def _read_metric(doc, n, tol):
 def _read_base(doc, n, tol):
     """(J, g) pair, lone metric, or lone symplectic form from a base block."""
     from .ae_zoo import AeManifoldData
-    from .core import SKEW, SYMMETRIC, BaseForm
+    from .core import SKEW, SYMMETRIC, BaseForm, _isometry_sign, _square_sign
 
     if "omega" in _read_keys(doc, "base", lambda d: ("omega",) if "omega" in d else ("g", "J")):
         return BaseForm(_of_kind(_matrix(doc, "omega", n, "base"), SKEW, tol, "base: omega"), SKEW)
@@ -163,14 +165,10 @@ def _read_base(doc, n, tol):
     if "J" not in doc:
         return g
     j = _matrix(doc, "J", n, "base")
-    # -1 goes first: where both signs fit (a huge tolerance or a zero g),
-    # the pair is read with alpha = -1 and epsilon = -1
-    for alpha in (-1, +1):
-        for epsilon in (-1, +1):
-            data = AeManifoldData(j, g, alpha, epsilon)
-            if data.validate(tol):
-                return data
-    raise InputError("base: (J, g) is not an (alpha, epsilon) pair")
+    alpha, epsilon = _square_sign(j, tol), _isometry_sign(j, g.gram, tol)
+    if alpha is None or epsilon is None:
+        raise InputError("base: (J, g) is not an (alpha, epsilon) pair")
+    return AeManifoldData(j, g, alpha, epsilon)
 
 
 def _operator_doc(op) -> dict:

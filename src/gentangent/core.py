@@ -455,11 +455,28 @@ class PolynomialClass(NamedTuple):
 NEITHER = PolynomialClass("neither")
 
 
+def _square_sign(m: np.ndarray, tol: Tolerance) -> int | None:
+    """alpha with m^2 = alpha I, -1 tried first: ``Tolerance._admits`` of
+    ||m^2 - alpha I|| at (0, ||I||).  None where neither sign fits."""
+    sq, ident = m @ m, np.eye(m.shape[0])
+    nid = np.linalg.norm(ident)
+    return next((s for s in (-1, 1) if tol._admits(np.linalg.norm(sq - s * ident), 0, nid)), None)
+
+
+def _isometry_sign(m: np.ndarray, gram: np.ndarray, tol: Tolerance) -> int | None:
+    """epsilon with m^T gram m = epsilon gram by ``close``.  None where neither
+    sign fits, or where both do: then gram is within the tolerance of zero."""
+    pulled = m.T @ gram @ m
+    plus, minus = close(pulled, gram, tol), close(pulled, -gram, tol)
+    return None if plus == minus else (1 if plus else -1)
+
+
 def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> PolynomialClass:
     """Classify a block operator as almost complex, almost product or neither.
 
-    Each test is ``Tolerance._admits`` at (0, ||I||): op^2 = -I, op^2 = I and,
-    as the structures of interest are proper, op != +/-Id for almost product.
+    The square sign is ``_square_sign``'s; as the structures of interest are
+    proper, an almost product op must also differ from +/-Id, by
+    ``Tolerance._admits`` at (0, ||I||).
 
     The +1 and -1 eigenspace dimensions of an almost product structure are
     counted from the trace, plus = round((2n + trace) / 2).  This is exact
@@ -474,19 +491,17 @@ def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> Polynom
     be off by a whole unit.
     """
     m = op.assemble()
-    sq = m @ m
+    alpha = _square_sign(m, tol)
+    if alpha != 1:
+        return NEITHER if alpha is None else PolynomialClass("complex")
     ident = np.eye(m.shape[0])
     nid = np.linalg.norm(ident)
-    if tol._admits(np.linalg.norm(sq + ident), 0, nid):
-        return PolynomialClass("complex")
-    if tol._admits(np.linalg.norm(sq - ident), 0, nid):
-        if any(tol._admits(np.linalg.norm(m - sign * ident), 0, nid) for sign in (1, -1)):
-            return NEITHER
-        size = m.shape[0]
-        if tol.rel * size**1.5 < 1:
-            plus = round((size + float(np.trace(m))) / 2)
-        else:
-            eig = np.linalg.eigvals(m)
-            plus = int(np.sum(np.abs(eig - 1.0) < np.abs(eig + 1.0)))
-        return PolynomialClass("product", plus, size - plus)
-    return NEITHER
+    if any(tol._admits(np.linalg.norm(m - sign * ident), 0, nid) for sign in (1, -1)):
+        return NEITHER
+    size = m.shape[0]
+    if tol.rel * size**1.5 < 1:
+        plus = round((size + float(np.trace(m))) / 2)
+    else:
+        eig = np.linalg.eigvals(m)
+        plus = int(np.sum(np.abs(eig - 1.0) < np.abs(eig + 1.0)))
+    return PolynomialClass("product", plus, size - plus)

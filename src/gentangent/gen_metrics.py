@@ -27,6 +27,7 @@ from .core import (
     Tolerance,
     _assemble,
     _inverse_unless_degenerate,
+    _square_sign,
     close,
     dual_map,
     is_degenerate,
@@ -137,7 +138,7 @@ def nannicini_metric(j, g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearFo
     of that Gram is one entry of the endomorphism times the 1/2 of G0.
     """
     j = np.asarray(j, dtype=float)
-    if not close(j @ j, -np.eye(g.n), tol):
+    if _square_sign(j, tol) != -1:
         raise NotComplexError("J does not square to -I")
     _, sharp = musicals(g, tol)
     return BilinearForm(_assemble(g.gram, 0.5 * j.T, 0.5 * j, sharp.T), SYMMETRIC)

@@ -44,7 +44,12 @@ from .core import (
     dual_map,
     signature,
 )
-from .errors import UnknownFamilyError
+from .errors import (
+    IncompatiblePairError,
+    NotAnticommutingError,
+    NotPolynomialError,
+    UnknownFamilyError,
+)
 from .gen_metrics import (
     endomorphism_from_metric,
     induced_metric,
@@ -374,7 +379,9 @@ def run_check(prop_id: str, n: int = 3, trials: int = 100, seed: int = 42,
     """Run one registered proposition check over a seeded batch.
 
     The one reduction of a check's cases: it counts them, adds up their
-    failures and keeps the largest residual.
+    failures and keeps the largest residual.  A case whose data a structure
+    test refuses is one failed case and ends the check; a rank error such as
+    ``DegenerateFormError`` propagates.
     """
     if prop_id not in _REGISTRY:
         raise UnknownFamilyError(
@@ -383,10 +390,14 @@ def run_check(prop_id: str, n: int = 3, trials: int = 100, seed: int = 42,
     start = time.perf_counter()
     cases = failures = 0
     max_res = 0.0
-    for case_failures, res in check(n, trials, seed, tol):
+    try:
+        for case_failures, res in check(n, trials, seed, tol):
+            cases += 1
+            failures += case_failures
+            max_res = max(max_res, res)
+    except (NotPolynomialError, NotAnticommutingError, IncompatiblePairError):
         cases += 1
-        failures += case_failures
-        max_res = max(max_res, res)
+        failures += 1
     elapsed = time.perf_counter() - start
     return VerifyReport(prop_id, cases, failures, max_res, elapsed)
 

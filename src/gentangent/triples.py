@@ -16,6 +16,8 @@ from .core import (
     Tolerance,
     _ReadOnly,
     _assemble,
+    _isometry_sign,
+    _square_sign,
     close,
     dual_map,
     musicals,
@@ -219,12 +221,11 @@ class KahlerData(_ReadOnly):
         gm = self.g.gram
         if not close(gm, gm.T, tol) or not _positive_definite(self.g, tol):
             raise InvalidKahlerDataError("g is not symmetric positive definite")
-        ident = np.eye(self.n)
         for name in ("J1", "J2"):
             j = getattr(self, name)
-            if not close(j @ j, -ident, tol):
+            if _square_sign(j, tol) != -1:
                 raise InvalidKahlerDataError(f"{name} does not square to -I")
-            if not close(j.T @ gm @ j, gm, tol):
+            if _isometry_sign(j, gm, tol) != 1:
                 raise InvalidKahlerDataError(f"{name} is not a g-isometry")
         return True
 

@@ -88,6 +88,18 @@ def test_ae_manifold_data_validate():
         gt.AeManifoldData(data.J, data.g, alpha=2, epsilon=1)
 
 
+def test_near_square_base_is_refused_as_polynomial_class_refuses_its_operator():
+    # J^2 = -I to 1.4e-7: within abs 1e-3 but far above rel 1e-12 ||I||.  The
+    # square sign rule reads rel only, for base matrices and operators alike
+    tol = gt.Tolerance(1e-3, 1e-12)
+    j = np.array([[1e-7, -1.0], [1.0, 0.0]])
+    for lam in (1, -1):
+        with pytest.raises(gt.NotPolynomialError):
+            gt.build_diagonal(j, lam, tol)
+    assert not gt.AeManifoldData(j, gt.BaseForm(np.eye(2)), -1, 1).validate(tol)
+    assert gt.polynomial_class(gt.BlockOperator(j, 0, 0, j.T), tol).kind == "neither"
+
+
 def test_ae_and_kahler_data_are_read_only_and_compare_by_identity():
     data = gt.random_ae_pair("Norden", 4, seed=5)
     same = gt.AeManifoldData(J=data.J, g=data.g, alpha=data.alpha, epsilon=data.epsilon)

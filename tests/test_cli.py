@@ -653,3 +653,40 @@ def test_in_process_main_with_a_stringio_stdout_returns_its_code():
     with contextlib.redirect_stdout(out):
         assert cli.main(["build", "Jom", "--dim", "4", "--seed", "1"]) == 0
     assert json.loads(out.getvalue())["n"] == 4
+
+
+def test_verify_case_a_structure_test_refuses_is_a_failed_case(capsys, monkeypatch):
+    # at 1e-13 the combine-law triple of trial 15 is refused as not
+    # anti-commuting: one failed case, which ends that check, and every
+    # check still reports
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["verify", "all", "--dim", "3", "--trials", "20",
+                              "--seed", "1", "--tol", "1e-13", "--format", "json"])
+    assert (code, err) == (1, "")
+    reports = {r["id"]: (r["trials"], r["failures"]) for r in json.loads(out)}
+    assert len(reports) == 17
+    assert reports["P5.combine-law"] == (16, 1)
+    assert {pid: f for pid, (_, f) in reports.items() if f} == {
+        "P2.flat-sharp": 1, "P4.triangular-iff": 7, "P4.mixed-iff": 10,
+        "P4.twin-metrics": 19, "P5.canonical-triples": 1, "P5.combine-law": 1}
+
+
+G0_METRIC = {"gram": gt.g0(2).gram.tolist(), "kind": "symmetric"}
+NOT_A_PAIR = "error: base: (J, g) is not an (alpha, epsilon) pair\n"
+
+
+def test_base_whose_square_sign_is_undetermined_exits_2(capsys, monkeypatch):
+    # J^2 = -I to 2.3e-6, above 1e-6 ||I||: the square test that refuses
+    # diag(J, J^T) as "neither" refuses J as well
+    base = {"g": [[1.0, 0.0], [0.0, 1.0]], "J": [[1.6e-6, -1.0], [1.0, 0.0]]}
+    doc = {"n": 2, "family": "JlamJ+", "base": base, "metric": G0_METRIC}
+    assert run_cli(capsys, monkeypatch, ["classify", "-", "--tol", "1e-6"],
+                   json.dumps(doc)) == (2, "", NOT_A_PAIR)
+    assert run_cli(capsys, monkeypatch, ["build", "JlamJ+", "--input", "-", "--tol", "1e-6"],
+                   json.dumps({"n": 2, "base": base})) == (2, "", NOT_A_PAIR)
+
+
+def test_base_with_zero_g_has_no_isometry_sign_and_exits_2(capsys, monkeypatch):
+    base = {"g": [[0.0, 0.0], [0.0, 0.0]], "J": [[0.0, -1.0], [1.0, 0.0]]}
+    doc = {"n": 2, "family": "JlamJ+", "base": base, "metric": G0_METRIC}
+    assert run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc)) == (2, "", NOT_A_PAIR)

@@ -26,6 +26,14 @@ CORPUS = {
         "1 failure: the roundoff of J F grows with |J| |F|, not with |J F|",
     ("verify", "T5.kahler-roundtrip", "--dim", "3", "--trials", "20", "--tol", "1e-6"):
         "4 failures: the rank threshold of -J1 J2 grows with the tolerance",
+    ("verify", "P5.combine-law", "--dim", "3", "--trials", "20", "--seed", "1",
+     "--tol", "1e-13"):
+        "1 failure: trial 15's Fg squares to I within 2.84e-13, above rel |I| ="
+        " 2.83e-13; that roundoff grows with |Fg|^2, and |Fg| = 751",
+    ("verify", "T5.base-extraction", "--dim", "3", "--trials", "20", "--seed", "39",
+     "--tol", "1e-13"):
+        "1 failure: trial 8's J squares to -I within 2.08e-13, above rel |I| ="
+        " 2e-13; that roundoff grows with |J|^2, and |J| = 44",
     ("scale", "Jg", "Hermitian", "4", "7", "0", "12", "-9", "-10"):
         "Norden at k = 0 and 12, DegenerateFormError at -9, Incompatible at -10",
 }

@@ -52,6 +52,29 @@ def test_run_check_counts_cases_failures_and_worst_residual(monkeypatch):
     assert not report.passed
 
 
+@pytest.mark.parametrize("error", [gt.NotPolynomialError, gt.NotAnticommutingError,
+                                   gt.IncompatiblePairError])
+def test_run_check_counts_a_refused_case_as_one_failure_and_ends_the_check(monkeypatch, error):
+    def check(n, trials, seed, tol):
+        yield 0, 0.5
+        raise error("refused")
+        yield 0, 9.0  # never reached
+
+    monkeypatch.setitem(registry._REGISTRY, "X.fake", ("a fake check", check))
+    report = registry.run_check("X.fake", 3, 1, 1)
+    assert (report.trials, report.failures, report.max_residual) == (2, 1, 0.5)
+
+
+def test_run_check_lets_a_rank_error_through(monkeypatch):
+    def check(n, trials, seed, tol):
+        raise gt.DegenerateFormError("singular")
+        yield
+
+    monkeypatch.setitem(registry._REGISTRY, "X.fake", ("a fake check", check))
+    with pytest.raises(gt.DegenerateFormError):
+        registry.run_check("X.fake", 3, 1, 1)
+
+
 def test_canonical_triples_case_with_no_triple_is_one_failure():
     tol = gt.Tolerance(1e-13, 1e-13)
     report = registry.run_check("P5.canonical-triples", 3, 3, 5, tol)

@@ -49,6 +49,17 @@ The ``inputs`` group runs documents with one key changed (see ``mutants``):
 every family and of every file of ``fixtures --dim 2 --seed 1``, then
 ``build Jg --input -`` of every mutant of the ``metric`` fixture.
 
+The ``signs`` group reads (J, g) pairs near the edge of the two sign tests:
+each kind's ``random_ae_pair(kind, 4, seed)`` at seeds 1-3, as drawn, with
+J[0, 0] raised by 1e-7, 1e-6 and 1e-5, and with g = 0.  On each it records
+``AeManifoldData.validate`` with the kind's alpha and epsilon, ``build_diagonal``
+at lam = +1 and -1 and, for alpha = -1 kinds, ``nannicini_metric``, each at
+``Tolerance(1e-6, 1e-6)``, ``Tolerance(1e-12, 1e-12)``, ``Tolerance(1e-3,
+1e-12)`` and ``Tolerance(1e-12, 1e-3)``; then ``classify - --format json`` of
+a ``JlamJ+`` (alpha = -1) or ``FlamF+`` (alpha = +1) document on that base
+against G0, at ``--tol 1e-6`` and ``--tol 1e-12``.  Each record names its
+case, so printing the records of two trees lists the verdicts that differ.
+
 Only the standard library and gentangent are used.  The verify groups take
 most of the run, about half a minute.
 """
@@ -78,6 +89,8 @@ DRAW_CLAMPS = (50.0, 100.0, 1e3)
 DRAW_SEEDS = range(1, 51)
 TOLERANCE_VALUES = ("1e-6", "1e-12")
 TOLERANCE_NUDGE = 1e-6
+SIGN_SEEDS = (1, 2, 3)
+SIGN_NUDGES = (1e-7, 1e-6, 1e-5)
 MUTANT_SEED = 3
 MUTANT_FIXTURE_ARGS = ("--dim", "2", "--seed", "1")
 UNKNOWN_KEY = "extra"
@@ -284,6 +297,61 @@ def tolerance_calls(family_ids):
         yield repr(tol), *(outcome(signature, metric, tol) for metric in metrics)
 
 
+def sign_bases():
+    """(kind, seed, change, J, g) for each kind's n = 4 draw and its changes."""
+    import numpy as np
+
+    from gentangent.ae_zoo import KINDS
+    from gentangent.generators import random_ae_pair
+
+    for kind in KINDS:
+        for seed in SIGN_SEEDS:
+            data = random_ae_pair(kind, 4, seed)
+            yield kind, seed, "as drawn", data.J, data.g.gram
+            for nudge in SIGN_NUDGES:
+                j = data.J.copy()
+                j[0, 0] += nudge
+                yield kind, seed, f"J[0, 0] + {nudge:g}", j, data.g.gram
+            yield kind, seed, "g = 0", data.J, np.zeros((4, 4))
+
+
+def sign_runs(main):
+    """Verdicts of the sign tests' callers on each of ``sign_bases``."""
+    from gentangent.ae_zoo import KINDS, AeManifoldData, build_diagonal
+    from gentangent.canonical import g0
+    from gentangent.core import SYMMETRIC, BaseForm, BilinearForm, BlockOperator, Tolerance
+    from gentangent.errors import GentangentError
+    from gentangent.gen_metrics import nannicini_metric
+
+    def outcome(call, *args):
+        try:
+            result = call(*args)
+        except (GentangentError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return "built" if isinstance(result, (BilinearForm, BlockOperator)) else bool(result)
+
+    tols = [Tolerance(float(v), float(v)) for v in TOLERANCE_VALUES]
+    tols += [Tolerance(1e-3, 1e-12), Tolerance(1e-12, 1e-3)]
+    metric = {"gram": g0(4).gram.tolist(), "kind": SYMMETRIC}
+    for kind, seed, change, j, gram in sign_bases():
+        alpha, epsilon, _ = KINDS[kind]
+        g = BaseForm(gram, SYMMETRIC)
+        case = (kind, seed, change)
+        for tol in tols:
+            yield (*case, repr(tol), "validate",
+                   outcome(AeManifoldData(j, g, alpha, epsilon).validate, tol))
+            for lam in (1, -1):
+                yield (*case, repr(tol), f"build_diagonal lam={lam}",
+                       outcome(build_diagonal, j, lam, tol))
+            if alpha == -1:
+                yield *case, repr(tol), "nannicini_metric", outcome(nannicini_metric, j, g, tol)
+        doc = json.dumps({"n": 4, "family": "JlamJ+" if alpha == -1 else "FlamF+",
+                          "base": {"g": gram.tolist(), "J": j.tolist()}, "metric": metric})
+        for value in TOLERANCE_VALUES:
+            yield (*case, f"--tol {value}", "classify",
+                   *run(main, ["classify", "-", "--format", "json", "--tol", value], stdin=doc))
+
+
 def groups(main, family_ids):
     """(group name, records) in a fixed order."""
     for dim, trials in VERIFY_RUNS:
@@ -318,6 +386,7 @@ def groups(main, family_ids):
     yield "draws", list(draws())
     yield "tolerances", [*tolerance_runs(main, family_ids), *tolerance_calls(family_ids)]
     yield "inputs", list(input_runs(main, family_ids))
+    yield "signs", list(sign_runs(main))
 
 
 def main():
