@@ -14,13 +14,19 @@ Input schema (matrices row-major, numbers as decimal doubles)::
 ``classify`` reads n, then operator or family + base (an operator beside
 them, as ``build`` writes it, must match the built one), then operator2 or
 metric; ``build --input`` reads n and base, and excludes --dim and --seed.
-At top level both also accept, unread, the keys of ``UNREAD``: the seed
-that ``fixtures`` writes, and the classification fields that ``classify``
-writes beside n, the operator it classified and operator2 or metric, so that
-its output reads back unchanged.  Any other key exits 2, as does the Kähler
-file of ``fixtures`` (its ``kahler`` object, and ``b`` in its base).  A base
-(J, g) takes alpha and epsilon from ``core._square_sign`` and
-``core._isometry_sign``, and exits 2 where either is None, as for a zero g.
+At top level both accept unread the keys of ``UNREAD``, which ``fixtures``
+and ``classify`` write beside what they read, so that every document the CLI
+writes reads back; ``build --input`` also the family, operator and metric
+beside a base.  Any other key exits 2, as does base data without a family
+id in ``classify``.  A base (J, g) takes alpha and epsilon from
+``core._square_sign`` and ``core._isometry_sign``, and exits 2 where either
+is None, as for a zero g.
+
+``build`` writes n, family, base and operator (``_build_doc``).  Each file of
+``fixtures`` is such a document with its seed after n: the complex musical
+family of a metric and of a symplectic form, the Flat family of each kind's
+(J, g) data plus a G0 ``metric``, and the Flat family of Kähler (g, J1) plus
+``kahler``, holding b and J2.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 141 stdout closed by its reader (as a shell reports a writer killed by SIGPIPE).
@@ -62,9 +68,9 @@ class InputError(Exception):
     """Schema or validation problem in a CLI input document; exits 2."""
 
 
-# Top-level keys accepted and never read: ``fixtures`` writes seed as
-# provenance, and ``classify`` writes the rest, so that its output reads back.
-UNREAD = ("seed", "class", "alpha", "epsilon", "signature", "fundamental", "inducer", "triple")
+# Top-level keys accepted and never read: ``fixtures`` writes seed and kahler
+# beside a family document, and ``classify`` the rest, so that both read back.
+UNREAD = ("seed", "kahler", "class", "alpha", "epsilon", "signature", "fundamental", "inducer", "triple")
 BLOCKS = ("H", "sigma", "tau", "K")
 
 
@@ -175,11 +181,17 @@ def _operator_doc(op) -> dict:
     return {key: getattr(op, key).tolist() for key in BLOCKS}
 
 
+def _metric_doc(metric) -> dict:
+    return {"gram": metric.gram.tolist(), "kind": metric.kind}
+
+
 def _resolve_operator(doc, n, tol):
     from .ae_zoo import FAMILY_IDS, build_family
     from .core import close
 
     if "family" not in doc:
+        if "base" in doc:
+            raise InputError("base data needs a family id")
         if "operator" not in doc:
             raise InputError("document has neither operator blocks nor a family id")
         return _read_operator(doc["operator"], n)
@@ -203,7 +215,7 @@ def _classify(doc, tol):
     from .gen_metrics import metric_from_endomorphism, symplectic_from_endomorphism
 
     _read_keys(doc, "top level", lambda d: (
-        "n", *(("family", "base", "operator") if "family" in d else ("operator",)),
+        "n", *(("family", "base", "operator") if {"family", "base"} & d.keys() else ("operator",)),
         "operator2" if "operator2" in d else "metric"), UNREAD)
     n = _read_n(doc)
     op = _resolve_operator(doc, n, tol)
@@ -223,7 +235,7 @@ def _classify(doc, tol):
         return out
     if "metric" in doc:
         metric = _read_metric(doc["metric"], n, tol)
-        out["metric"] = {"gram": metric.gram.tolist(), "kind": metric.kind}
+        out["metric"] = _metric_doc(metric)
         cls = classify_pair(op, metric, tol)
         out["class"] = cls.name
         if cls.name != INCOMPATIBLE:
@@ -336,13 +348,19 @@ def _base_doc(base) -> dict:
 
     if isinstance(base, AeManifoldData):
         return {"g": base.g.gram.tolist(), "J": base.J.tolist()}
-    if base.kind == SKEW:
-        return {"omega": base.gram.tolist()}
-    return {"g": base.gram.tolist()}
+    return {"omega" if base.kind == SKEW else "g": base.gram.tolist()}
+
+
+def _build_doc(family, base, tol) -> dict:
+    """n, the family id, the base data and the operator built from them."""
+    from .ae_zoo import build_family
+
+    op = build_family(family, base, tol)
+    return {"n": op.n, "family": family, "base": _base_doc(base), "operator": _operator_doc(op)}
 
 
 def cmd_build(args) -> int:
-    from .ae_zoo import FAMILIES, FAMILY_IDS, build_family
+    from .ae_zoo import FAMILIES, FAMILY_IDS
 
     tol = _tolerance(args)
     if args.family not in FAMILY_IDS:
@@ -352,7 +370,8 @@ def cmd_build(args) -> int:
     if args.input is not None:
         if args.dim is not None or args.seed is not None:
             raise InputError("--input excludes --dim and --seed")
-        doc = _read_keys(_load_json(args.input), "top level", ("n", "base"), UNREAD)
+        doc = _read_keys(_load_json(args.input), "top level", ("n", "base"),
+                         (*UNREAD, "family", "operator", "metric"))
         if "base" not in doc:
             raise InputError("build input needs a base block")
         base = _read_base(doc["base"], _read_n(doc), tol)
@@ -361,56 +380,37 @@ def cmd_build(args) -> int:
 
         base = random_base(FAMILIES[args.family].base_kind, args.dim or 3,
                            42 if args.seed is None else args.seed)
-    op = build_family(args.family, base, tol)
-    out = {"n": op.n, "family": args.family, "base": _base_doc(base),
-           "operator": _operator_doc(op)}
-    print(json.dumps(out))
+    print(json.dumps(_build_doc(args.family, base, tol)))
     return 0
 
 
-def _write_fixtures(out_dir, docs) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for name, doc in docs.items():
-        path = os.path.join(out_dir, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        print(path)
-
-
 def cmd_fixtures(args) -> int:
-    from .ae_zoo import FAMILIES, FLAT, KINDS, build_family
+    from .ae_zoo import FAMILIES, FLAT, HERMITIAN, KINDS, AeManifoldData
     from .canonical import g0
-    from .core import SKEW, SYMMETRIC
+    from .core import DEFAULT_TOL, SKEW, SYMMETRIC
     from .generators import fixture_dim, random_base, random_kahler_data
 
-    n = args.dim
-    docs = {}
-    g = random_base(SYMMETRIC, n, args.seed)
-    docs["metric"] = {"n": n, "seed": args.seed, "base": {"g": g.gram.tolist()}}
-    om = random_base(SKEW, n, args.seed)
-    docs["symplectic"] = {"n": om.n, "seed": args.seed,
-                          "base": {"omega": om.gram.tolist()}}
+    def doc(family, base, **rest):
+        return {"n": base.n, "seed": args.seed, **_build_doc(family, base, DEFAULT_TOL), **rest}
+
+    # only musical families take a lone form, the complex one at param -1; Flat, per alpha
+    musical = {row.base_kind: f for f, row in FAMILIES.items() if row.param == -1}
+    flat = {row.alpha: f for f, row in FAMILIES.items() if row.param == FLAT}
+    docs = {name: doc(musical[kind], random_base(kind, args.dim, args.seed))
+            for name, kind in (("metric", SYMMETRIC), ("symplectic", SKEW))}
     for kind in KINDS:
-        data = random_base(kind, n, args.seed)
-        family = next(f for f, row in FAMILIES.items()
-                      if row.param == FLAT and row.alpha == data.alpha)
-        op = build_family(family, data)
-        docs[f"ae-{kind.lower()}"] = {
-            "n": data.n, "seed": args.seed, "family": family,
-            "base": _base_doc(data),
-            "operator": _operator_doc(op),
-            "metric": {"gram": g0(data.n).gram.tolist(), "kind": "symmetric"},
-        }
-    kd = random_kahler_data(fixture_dim(n), args.seed)
-    docs["kahler"] = {
-        "n": kd.n, "seed": args.seed,
-        "base": {"g": kd.g.gram.tolist(), "J": kd.J1.tolist(),
-                 "b": kd.b.tolist()},
-        "kahler": {"b": kd.b.tolist(), "g": kd.g.gram.tolist(),
-                   "J1": kd.J1.tolist(), "J2": kd.J2.tolist()},
-    }
+        data = random_base(kind, args.dim, args.seed)
+        docs[f"ae-{kind.lower()}"] = doc(flat[data.alpha], data, metric=_metric_doc(g0(data.n)))
+    kd = random_kahler_data(fixture_dim(args.dim), args.seed)
+    data = AeManifoldData(kd.J1, kd.g, *KINDS[HERMITIAN][:2])  # g SPD, J1 g-isometric complex
+    docs["kahler"] = doc(flat[data.alpha], data, kahler={"b": kd.b.tolist(), "J2": kd.J2.tolist()})
     try:
-        _write_fixtures(args.out, docs)
+        os.makedirs(args.out, exist_ok=True)
+        for name, written in docs.items():
+            path = os.path.join(args.out, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(written, fh)
+            print(path)
     except OSError as exc:
         raise InputError(f"--out {args.out!r}: {exc.strerror or exc}")
     return 0

@@ -601,6 +601,20 @@ def test_classify_operator2_with_metric_exits_2_naming_both(capsys, monkeypatch)
     assert code == 0 and "triple" in json.loads(out)
 
 
+@pytest.mark.parametrize("beside", [{}, {"operator": {"H": [[0]], "sigma": [[-1]],
+                                                       "tau": [[1]], "K": [[0]]}}],
+                         ids=["alone", "beside-operator"])
+def test_classify_base_without_family_exits_2_naming_family(capsys, monkeypatch, beside):
+    # base data was refused as an unexpected key, as if classify had no use for it
+    doc = {"n": 1, "base": {"g": [[1]]}, **beside}
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc))
+    assert (code, out, err) == (2, "", "error: base data needs a family id\n")
+    # and its mirror: a family id without base data
+    doc = {"n": 1, "family": gt.FAMILY_IDS[0], **beside}
+    code, out, err = run_cli(capsys, monkeypatch, ["classify", "-"], json.dumps(doc))
+    assert (code, out, err) == (2, "", "error: a family id needs base data\n")
+
+
 def test_classify_operator_next_to_family_and_base_must_match(capsys, monkeypatch):
     # a family built from base data that disagrees with the blocks beside it
     # was dropped without a word, and the blocks classified
