@@ -43,6 +43,7 @@ never load numpy.
 import argparse
 import atexit
 import gc
+import itertools
 import json
 import os
 import sys
@@ -114,9 +115,8 @@ def _matrix(doc, key, n, context):
         raise InputError(
             f"{context}: matrix {key!r} must be {n}x{n}, got shape {m.shape}")
     # numpy would also read "1e0" and true as numbers; JSON entries must be
-    # ints or floats (bool is an int subclass)
-    if any(isinstance(x, bool) or not isinstance(x, (int, float))
-           for row in doc[key] for x in row):
+    # ints or floats, by exact type (bool is an int subclass)
+    if not set(map(type, itertools.chain.from_iterable(doc[key]))) <= {int, float}:
         raise InputError(f"{context}: matrix {key!r} has an entry that is not a number")
     if not np.isfinite(m).all():
         raise InputError(f"{context}: matrix {key!r} has a NaN or infinite entry")

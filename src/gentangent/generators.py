@@ -11,16 +11,14 @@ Draws are vectorized: a block of outputs is computed at once on numpy
 ``uint64`` arrays, whose multiplications wrap modulo 2**64 exactly like the
 scalar definition, so the stream is the same as drawing one value at a time.
 
-Accepted draws are memoized.  ``random_invertible`` is a pure function of
-(n, stream state, condition clamp): it returns the first n x n draw from
-that state whose condition number is below the clamp, and leaves the stream
-just after it.  The checks redraw from the same seeds many times, so the
-rejection loop runs once per key in a bounded ``lru_cache`` (128 keys, the
-least recently used dropped first) and later calls only set the stream
-state.  A key that comes back after more than 128 others runs the loop
-again, as with many trials per check; the bound keeps the memory of large
-n x n draws small.  The returned matrix is shared and read-only; copy it
-before writing.  ``_model_pair`` is cached the same way.
+The rejection loop's decision is memoized, not its matrix.  The checks
+redraw from the same seeds many times, so ``_accepted_state`` runs the loop
+once per (n, stream state, clamp) in a bounded ``lru_cache`` (128 keys, the
+least recently used dropped first; a key that comes back after more than 128
+others runs the loop again) and keeps the stream state just before the
+accepted candidate.  ``random_invertible`` sets the stream there and draws
+that candidate again, so every draw is a fresh array the caller may write.
+``_model_pair`` caches its read-only matrices.
 
 One test decides each candidate P at every n: the eigenvalues of P^T P are
 the squared singular values, and P is accepted iff the largest is below
@@ -55,6 +53,7 @@ _U64_MIX2 = np.uint64(0x94D049BB133111EB)
 _UNIT = 1.0 / (1 << 53)
 
 MAX_CONDITION = 1.0e3
+TRANSPORT_CONDITION = 50.0  # clamp of the basis change of random_ae_pair and random_kahler_data
 
 
 class SplitMix64:
@@ -103,16 +102,16 @@ _MAX_CLAMP = 1.0e4
 
 
 @functools.lru_cache(maxsize=128)
-def _accepted_draw(n: int, state: int, max_condition: float):
-    """First draw from ``state`` with condition below the clamp, read-only,
-    and the stream state after it."""
+def _accepted_state(n: int, state: int, max_condition: float) -> int:
+    """Stream state just before the first draw from ``state`` whose condition
+    is below the clamp."""
     rng = SplitMix64(state)
     while True:
+        start = rng._state
         p = rng.matrix(n, n)
         lam = np.linalg.eigvalsh(p.T @ p)
         if lam[0] > 0 and lam[-1] < max_condition**2 * lam[0]:
-            p.flags.writeable = False
-            return p, rng._state
+            return start
 
 
 def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDITION) -> np.ndarray:
@@ -121,17 +120,17 @@ def random_invertible(n: int, rng: SplitMix64, max_condition: float = MAX_CONDIT
     Draws are rejected (consuming the stream deterministically) until
     cond < max_condition, decided from the eigenvalues of P^T P (the squared
     singular values).  At the default clamp a uniform entry matrix passes
-    almost always at the sizes used here; at the tighter clamp 50 most
+    almost always at the sizes used here; at the transport clamp 50 most
     32 x 32 draws are rejected.  The clamp must lie in (1, 1e4]: no matrix
     has cond below 1, so a clamp of at most 1 would loop forever (one just
     above 1 still almost never accepts), and above 1e4 the rounding of
-    P^T P blurs the decision.  The result is read-only and may be shared
-    with other callers that drew from the same state.
+    P^T P blurs the decision.  The result is a fresh array, which no other
+    caller holds.
     """
     if not 1.0 < max_condition <= _MAX_CLAMP:
         raise ValueError(f"max_condition must lie in (1, {_MAX_CLAMP:g}], not {max_condition!r}")
-    p, rng._state = _accepted_draw(n, rng._state, max_condition)
-    return p
+    rng._state = _accepted_state(n, rng._state, max_condition)
+    return rng.matrix(n, n)
 
 
 def fixture_dim(n: int, kind: str | None = None) -> int:
@@ -204,18 +203,18 @@ def _model_pair(kind: str, n: int):
     raise ValueError(f"unknown kind {kind!r}; known: {tuple(KINDS)}")
 
 
-def random_kahler_data(n: int, seed: int, max_condition: float = 50.0):
+def random_kahler_data(n: int, seed: int):
     """Seeded (b, g, J1, J2): skew b, SPD g and two g-isometric complex maps.
 
-    The condition clamp is tighter than for plain metrics because the
-    consumers conjugate through shears and inverses of this data.
+    g = P^T P is drawn at the tighter clamp ``TRANSPORT_CONDITION``, because
+    the consumers conjugate through shears and inverses of this data.
     """
-    from .triples import KahlerData  # local import to avoid a cycle
+    from .triples import KahlerData  # imported here, so that ``build`` loads no triples
 
     if n % 2 != 0:
         raise DimensionError("complex structures need even dimension")
     rng = SplitMix64(seed)
-    p = random_invertible(n, rng, max_condition)
+    p = random_invertible(n, rng, TRANSPORT_CONDITION)
     g = BaseForm(p.T @ p, SYMMETRIC)
     j_model = _standard_complex(n)
     p_inv = np.linalg.inv(p)
@@ -236,13 +235,13 @@ def random_ae_pair(kind: str, n: int, seed: int) -> AeManifoldData:
 
     The transport g -> P.T g P, J -> P^-1 J P preserves both defining
     identities exactly, so compatibility holds by construction.  The
-    transport condition is clamped well below the generic invertible
-    default: downstream identities square and invert the transported
+    transport condition is clamped at ``TRANSPORT_CONDITION``, well below the
+    generic default: downstream identities square and invert the transported
     blocks, and the clamp keeps their roundoff comfortably under 1e-9.
     """
     j, g = _model_pair(kind, n)
     alpha, eps, _ = KINDS[kind]
-    p = random_invertible(n, SplitMix64(seed), max_condition=50.0)
+    p = random_invertible(n, SplitMix64(seed), TRANSPORT_CONDITION)
     return AeManifoldData(np.linalg.inv(p) @ j @ p, BaseForm(p.T @ g @ p, SYMMETRIC), alpha, eps)
 
 

@@ -167,7 +167,7 @@ def _reference_invertible(ref, n, max_condition):
 
 
 def test_random_invertible_matches_reference_rejection_loop():
-    generators._accepted_draw.cache_clear()
+    generators._accepted_state.cache_clear()
     for seed in (1, 2, 3):
         want = _reference_invertible(ReferenceSplitMix64(seed), 32, 50.0)
         # the first call runs the rejection loop, the second reads the memo
@@ -177,7 +177,7 @@ def test_random_invertible_matches_reference_rejection_loop():
             _reference_invertible(ref, 32, 50.0)
             assert np.array_equal(got, want)
             assert rng.next_u64() == ref.next_u64()
-    assert generators._accepted_draw.cache_info().hits == 3
+    assert generators._accepted_state.cache_info().hits == 3
 
 
 @pytest.mark.parametrize("seed, digest, next_u64", [
@@ -200,14 +200,24 @@ def test_random_invertible_pinned_digest(seed, digest, next_u64):
 
 
 def test_memoized_fixtures_are_read_only():
-    p = gt.random_invertible(4, gt.SplitMix64(8))
-    with pytest.raises(ValueError):
-        p[0, 0] = 0.0
     for kind in ae_zoo.KINDS:
         j, g = generators._model_pair(kind, 4)
         for m in (j, g):
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0
+
+
+def test_draws_are_fresh_values():
+    # a draw belongs to its caller: writing into it changes neither a later
+    # draw from the same seed nor the stream after it
+    for n, clamp in ((4, generators.MAX_CONDITION), (32, generators.TRANSPORT_CONDITION)):
+        rng = gt.SplitMix64(8)
+        p = gt.random_invertible(n, rng, clamp)
+        want, after = p.copy(), rng.next_u64()
+        p[...] = 0.0
+        rng = gt.SplitMix64(8)
+        assert np.array_equal(gt.random_invertible(n, rng, clamp), want)
+        assert rng.next_u64() == after
 
 
 def test_fixture_dim_rounds_up_to_even():
@@ -225,7 +235,7 @@ def _verify_rows(seed):
 def test_run_all_is_unchanged_by_the_memo():
     # cold fixtures and fresh canonical forms with no kept facts first; the
     # later runs reuse them with the signatures the first one kept
-    generators._accepted_draw.cache_clear()
+    generators._accepted_state.cache_clear()
     generators._model_pair.cache_clear()
     canonical._canonical_form.cache_clear()
     cold = _verify_rows(1)
@@ -250,19 +260,30 @@ def test_random_invertible_agrees_with_the_svd_loop():
     for n in (1, 2, 3, 4, 8, 16, 32):
         for clamp in (50.0, 100.0, 1e3):
             for seed in range(1, 51):
-                rng, ref = gt.SplitMix64(seed), gt.SplitMix64(seed)
-                got = gt.random_invertible(n, rng, clamp)
-                assert np.array_equal(got, _reference_invertible(ref, n, clamp)), (n, clamp, seed)
-                assert rng.next_u64() == ref.next_u64()
+                ref = gt.SplitMix64(seed)
+                want = _reference_invertible(ref, n, clamp)
+                after = ref.next_u64()
+                # the second call reads the memo
+                for _ in ("cold", "warm"):
+                    rng = gt.SplitMix64(seed)
+                    got = gt.random_invertible(n, rng, clamp)
+                    assert np.array_equal(got, want), (n, clamp, seed)
+                    assert rng.next_u64() == after
 
 
 def _accepts(p, clamp):
     """Whether the rejection loop takes p, fed p and then the identity."""
     candidates = iter([p, np.eye(len(p))])
+
+    def matrix(self, rows, cols):
+        # each candidate advances the state, so that the accepted one is
+        # told by the state before it
+        self._state += 1
+        return next(candidates)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generators.SplitMix64, "matrix", lambda self, rows, cols: next(candidates))
-        got, _ = generators._accepted_draw.__wrapped__(len(p), 0, clamp)
-    return got is p
+        mp.setattr(generators.SplitMix64, "matrix", matrix)
+        return generators._accepted_state.__wrapped__(len(p), 0, clamp) == 0
 
 
 def test_random_invertible_decides_at_the_clamp():
