@@ -302,16 +302,28 @@ def dual_map(a) -> np.ndarray:
     return _as_matrix(a).T.copy()
 
 
-def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Scale-invariant singularity test on the singular values, sigma_min <=
-    tol.abs * max(sigma_max, 1): ``Tolerance._admits`` at (max(sigma_max, 1), 0).
+def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, _inverse=None) -> bool:
+    """The one rank test: sigma_min <= tol.abs * max(sigma_max, 1) for the
+    singular values of gram, ``Tolerance._admits`` at (max(sigma_max, 1), 0).
 
-    This is the one definition of "degenerate".  Callers that invert the
-    matrix anyway ask ``_inverse_unless_degenerate``, which gives the same
-    answer and runs this SVD only where its cheaper certificate is silent.
+    gram is inverted (a caller that has the inverse passes it as the private
+    ``_inverse``), and ``_certifies_nondegenerate`` reads "nondegenerate" from
+    it where it can; the SVD runs only where that is silent.  So every
+    answer, down to its type, is the SVD rule's.
     """
+    gram = np.asarray(gram, dtype=float)
+    x = _inverse_or_none(gram) if _inverse is None else _inverse
+    if x is not None and _certifies_nondegenerate(gram, x, tol):
+        return np.False_
     sv = np.linalg.svd(gram, compute_uv=False)
     return sv.size == 0 or tol._admits(sv[-1], max(sv[0], 1.0), 0)
+
+
+def _inverse_or_none(a):
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -369,24 +381,14 @@ def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bo
     return lower > 2 * tol.abs * max(a_norm * (1 + delta), 1.0)
 
 
-def _inverse_unless_degenerate(a, tol: Tolerance, gram=None):
-    """``np.linalg.inv(a)``, or None where ``is_degenerate(gram, tol)`` holds.
-
-    gram defaults to a; it must have a's singular values (``musicals``
-    inverts the transpose of the form's Gram), and the SVD, where one runs,
-    is taken of gram, as a test before the inversion would take it.  The
-    inverse is computed first, and ``_certifies_nondegenerate`` reads the
-    answer from it where it can, without an SVD.  Either way the answer and
-    the returned bits are the ones "test, then invert" gives, including a
-    ``LinAlgError`` from inverting a matrix the SVD calls nondegenerate.
+def _inverse_unless_degenerate(a, tol: Tolerance):
+    """``np.linalg.inv(a)``, or None where ``is_degenerate(a, tol)`` holds,
+    decided from that one inverse.  The answer and the bits are those of
+    "test, then invert", including a ``LinAlgError`` from inverting a matrix
+    the SVD calls nondegenerate.
     """
-    try:
-        x = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        x = None
-    if x is not None and _certifies_nondegenerate(a, x, tol):
-        return x
-    if is_degenerate(a if gram is None else gram, tol):
+    x = _inverse_or_none(a)
+    if is_degenerate(a, tol, _inverse=x):
         return None
     return np.linalg.inv(a) if x is None else x
 
@@ -397,15 +399,14 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
     flat sends X-coordinates to the dual coordinates of flat(X), i.e.
     flat = gram.T; sharp is its inverse.  Both are computed once per
     (form, tol), kept on the form and returned read-only.  A degenerate
-    form (``is_degenerate`` of the Gram) raises ``DegenerateFormError``, on
-    every call: errors are not kept.  The rank test reads the inverse that
-    is computed anyway and runs an SVD only where that cannot decide (see
-    ``_inverse_unless_degenerate``).
+    form (``is_degenerate`` of flat, which has the Gram's singular values)
+    raises ``DegenerateFormError``, on every call: errors are not kept.  The
+    rank test reads the sharp that is computed anyway.
     """
     key = ("musicals", tol)
     if key not in b._facts:
         flat = b.gram.T.copy()
-        sharp = _inverse_unless_degenerate(flat, tol, b.gram)
+        sharp = _inverse_unless_degenerate(flat, tol)
         if sharp is None:
             raise DegenerateFormError("base form is numerically degenerate")
         flat.flags.writeable = sharp.flags.writeable = False

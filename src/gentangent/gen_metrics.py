@@ -118,8 +118,7 @@ def induced_metric(g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     """Generalized metric induced by a base metric: Gram [[G, 0], [0, G^-1]].
 
     A degenerate G (``is_degenerate``) raises ``DegenerateFormError``; the
-    test reads the inverse that is needed anyway and runs an SVD only where
-    that cannot decide.
+    rank test reads the G^-1 that the Gram needs anyway.
     """
     if g.kind != SYMMETRIC:
         raise ValueError("expected a symmetric base form")

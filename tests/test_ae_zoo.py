@@ -347,3 +347,20 @@ def test_base_extraction_check_passes_on_ill_conditioned_symplectic_form():
     from gentangent.registry import run_check
 
     assert run_check("T5.base-extraction", 32, 3, 1317418898).failures == 0
+
+
+def test_builders_refuse_a_sign_lam_or_variant_outside_their_sets():
+    data = gt.random_ae_pair("Hermitian", 2, seed=1)
+    with pytest.raises(ValueError, match="sign must be"):
+        gt.build_musical(data.g, 2)
+    with pytest.raises(ValueError, match="lam must be"):
+        gt.build_diagonal(data.J, 0)
+    with pytest.raises(ValueError, match="variant must be"):
+        gt.build_triangular(data, "Diagonal")
+
+
+def test_twin_formula_check_refuses_an_unknown_family():
+    data = gt.random_ae_pair("Hermitian", 2, seed=1)
+    for family in ("nope", "Fg@Gx"):
+        with pytest.raises(gt.UnknownFamilyError, match="unknown twin-formula family"):
+            gt.twin_formula_check(family, data)

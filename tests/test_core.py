@@ -10,6 +10,7 @@ from gentangent.core import (
 )
 
 from block_rules import apply_by_blocks, combine_by_blocks, compose_by_blocks
+from test_rank_test import svd_oracle
 
 
 def test_tolerance_validation():
@@ -479,24 +480,37 @@ def test_rank_certificate_agrees_with_the_svd():
         except np.linalg.LinAlgError:
             x = None
         certified = x is not None and _certifies_nondegenerate(a, x, tol)
+        degenerate = svd_oracle(a, tol)
         if certified:
-            assert not is_degenerate(a, tol)
+            assert not degenerate
         # the certificate is not vacuous: it decides the clear cases
         assert certified or not certifiable
+        got = is_degenerate(a, tol)
+        assert got == degenerate and type(got) is type(degenerate)
         got = _inverse_unless_degenerate(a, tol)
-        if is_degenerate(a, tol):
+        if degenerate:
             assert got is None
         else:
             # the bits of the inverse that "test, then invert" returns
             assert got is not None and np.array_equal(got, np.linalg.inv(a))
 
 
-def test_rank_certificate_reads_the_transpose_for_musicals():
-    # the SVD, where one runs, is of the Gram; the inverse is of gram.T
-    gram = np.array([[2.0, 1.0], [-3.0, 1.0]])
-    for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15)):
-        got = _inverse_unless_degenerate(gram.T.copy(), tol, gram)
-        assert np.array_equal(got, np.linalg.inv(gram.T.copy()))
+def test_musicals_decide_on_flat_and_keep_its_inverse():
+    # the rank test is of flat = gram.T, which has the Gram's singular
+    # values, and sharp is inv(flat), bit for bit, or the form is degenerate
+    for gram in (np.array([[2.0, 1.0], [-3.0, 1.0]]),
+                 np.array([[1.0, 1e-9], [0.0, 1e-9]]),
+                 np.array([[1.0, 2.0], [2.0, 4.0]]),
+                 _with_singular_values([1.0, 1e-9 * (1 + 1e-6)], 3)):
+        for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15)):
+            b = gt.BaseForm(gram, gt.SYMMETRIC)
+            if svd_oracle(gram, tol):
+                with pytest.raises(gt.DegenerateFormError):
+                    gt.musicals(b, tol)
+            else:
+                flat, sharp = gt.musicals(b, tol)
+                assert np.array_equal(flat, gram.T)
+                assert np.array_equal(sharp, np.linalg.inv(gram.T.copy()))
 
 
 def test_small_base_metrics_stay_degenerate():
@@ -507,3 +521,30 @@ def test_small_base_metrics_stay_degenerate():
     with pytest.raises(gt.DegenerateFormError,
                        match="base metric is numerically degenerate"):
         gt.induced_metric(small)
+
+
+def test_neither_class_has_no_alpha():
+    assert gt.PolynomialClass("neither").alpha is None
+    assert gt.PolynomialClass("complex").alpha == -1
+
+
+def test_signature_refuses_a_skew_form():
+    skew = gt.BaseForm(np.array([[0.0, 1.0], [-1.0, 0.0]]), gt.SKEW)
+    with pytest.raises(ValueError, match="symmetric forms only"):
+        gt.signature(skew)
+
+
+def test_dimension_and_kind_checks_of_vectors_operators_and_forms():
+    with pytest.raises(gt.DimensionError, match="equal length"):
+        gt.GeneralizedVector.from_parts([1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(gt.DimensionError, match="2n x 2n"):
+        gt.BlockOperator.from_matrix(np.eye(3))
+    with pytest.raises(ValueError, match="unknown form kind"):
+        gt.BilinearForm(np.eye(2), "sideways")
+    one, two = gt.GeneralizedVector(np.ones(2)), gt.GeneralizedVector(np.ones(4))
+    with pytest.raises(gt.DimensionError, match="form and vector"):
+        gt.BilinearForm(np.eye(4))(one, two)
+    with pytest.raises(gt.DimensionError, match="form and vector"):
+        gt.BaseForm(np.eye(2))([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(gt.DimensionError, match="operator and vector"):
+        gt.apply(gt.BlockOperator.from_matrix(np.eye(4)), one)

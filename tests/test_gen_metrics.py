@@ -162,3 +162,11 @@ def test_nannicini_metric_rejects_non_complex_j():
     g = gt.random_metric(2, 2, 0, seed=1)
     with pytest.raises(gt.NotComplexError):
         gt.nannicini_metric(np.eye(2), g)
+
+
+def test_inducers_refuse_a_lam_outside_its_set_and_a_skew_base_form():
+    with pytest.raises(ValueError, match="lam must be"):
+        gt.diagonal_inducer(np.eye(2), 2)
+    skew = gt.BaseForm(np.array([[0.0, 1.0], [-1.0, 0.0]]), gt.SKEW)
+    with pytest.raises(ValueError, match="symmetric base form"):
+        gt.induced_metric(skew)

@@ -319,3 +319,13 @@ def test_random_invertible_rejects_a_clamp_it_cannot_meet():
     assert ran.stdout.split("\n")[:-1] == [
         "refused 1.0", "refused 0.5", "refused nan", "refused 100000.0"], ran.stderr
     assert gt.random_invertible(3, gt.SplitMix64(1), 1e4).shape == (3, 3)
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("Norden", 3, "Norden data needs even"),
+    ("ParaHermitian", 3, "para-Hermitian data needs even"),
+    ("ProductRiemannian", 1, "product data needs dimension at least 2"),
+])
+def test_random_ae_pair_dimension_checks_name_the_kind(kind, n, message):
+    with pytest.raises(gt.DimensionError, match=message):
+        gt.random_ae_pair(kind, n, seed=0)

@@ -86,3 +86,8 @@ def test_canonical_triples_no_triple_adds_no_residual(monkeypatch):
                         lambda first, second, tol: triples.TripleReport(triples.NO_TRIPLE))
     report = registry.run_check("P5.canonical-triples", 2, 2, 1)
     assert (report.trials, report.failures, report.max_residual) == (16, 16, 0.0)
+
+
+def test_run_check_refuses_an_unknown_id():
+    with pytest.raises(gt.UnknownFamilyError, match="unknown proposition id 'P9.nope'"):
+        registry.run_check("P9.nope")

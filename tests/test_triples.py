@@ -249,3 +249,70 @@ def test_known_defect_kahler_roundtrip_rank_floor():
     from gentangent import registry
 
     assert registry.run_check("T5.kahler-roundtrip", 3, 100, 2036071567).failures == 0
+
+
+def _kahler_pair(n, seed):
+    """(J_phi, diag(J, -J*)): an almost-Kahler pair of Hermitian data."""
+    data = gt.random_ae_pair("Hermitian", n, seed)
+    return gt.build_musical(gt.base_fundamental(data), -1), gt.build_diagonal(data.J, -1)
+
+
+def test_is_almost_kahler_refuses_a_member_that_is_not_almost_complex():
+    # at abs 1e-3 and rel 1e-12, J_phi + 1e-7 I passes the isometry, the
+    # commutation and the induced metric's tests, which compare through abs;
+    # only the square test, which reads rel alone, refuses it
+    tol = gt.Tolerance(1e-3, 1e-12)
+    j_phi, j_minus = _kahler_pair(2, 0)
+    assert gt.is_almost_kahler(j_phi, j_minus, tol)[0]
+    nudged = gt.BlockOperator.from_matrix(j_phi.matrix + 1e-7 * np.eye(4))
+    assert gt.polynomial_class(nudged, tol).kind == "neither"
+    assert gt.is_almost_kahler(nudged, j_minus, tol) == (False, None)
+
+
+def test_is_almost_kahler_refuses_a_pair_that_does_not_commute():
+    # conjugating J2 by a G0-isometry R near I (a Cayley transform of a
+    # G0-skew X) keeps it almost complex and G0-isometric, and moves the
+    # commutator C = J1 J2 - J2 J1 off zero.  The induced metric's symmetry
+    # tests see C block by block, so at an abs between the largest block and
+    # ||C|| only the commutation test refuses the pair.
+    n = 4
+    j1, j2 = _kahler_pair(n, 0)
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.standard_normal((n, n)) for _ in range(3))
+    x = np.block([[a, b - b.T], [c - c.T, -a.T]])
+    ident = np.eye(2 * n)
+    r = np.linalg.solve(ident - 5e-6 * x, ident + 5e-6 * x)
+    m1, m2 = j1.matrix, np.linalg.solve(r, j2.matrix @ r)
+    inducer = gt.BlockOperator.from_matrix(-(m1 @ m2))
+    blocks = max(np.linalg.norm(inducer.K - inducer.H.T),
+                 np.linalg.norm(inducer.tau - inducer.tau.T),
+                 np.linalg.norm(inducer.sigma - inducer.sigma.T))
+    commutator = np.linalg.norm(m1 @ m2 - m2 @ m1)
+    assert blocks < commutator
+    tol = gt.Tolerance(float(np.sqrt(blocks * commutator)), 1e-12)
+    assert gt.is_almost_kahler(j1, j2, tol)[0]
+    moved = gt.BlockOperator.from_matrix(m2)
+    assert gt.polynomial_class(moved, tol).kind == "complex"
+    assert gt.is_almost_kahler(j1, moved, tol) == (False, None)
+
+
+def test_triple_tests_refuse_operators_of_different_dimensions():
+    for test in (gt.classify_triple, gt.is_almost_kahler):
+        with pytest.raises(gt.DimensionError, match="operator dimensions differ"):
+            test(gt.f0(2), gt.f0(3))
+
+
+def test_combine_names_the_member_that_breaks_the_triple():
+    data = gt.random_ae_pair("Hermitian", 2, seed=1)
+    first, second, _ = gt.canonical_triple("biparaC", data)
+    with pytest.raises(gt.NotAnticommutingError, match="third member must be almost complex"):
+        gt.combine(1.0, 1.0, 0.5, (first, second, first))
+    # diag(J, -J*) is almost complex, but it commutes with F and F'
+    with pytest.raises(gt.NotAnticommutingError, match="not pairwise anti-commuting"):
+        gt.combine(1.0, 1.0, 0.5, (first, second, gt.build_diagonal(data.J, -1)))
+
+
+def test_kahler_data_refuses_a_g_isometry_that_is_not_complex():
+    kd = gt.random_kahler_data(2, seed=1)
+    with pytest.raises(gt.InvalidKahlerDataError, match="J1 does not square to -I"):
+        gt.KahlerData(kd.b, kd.g, np.eye(2), kd.J2).validate(gt.Tolerance(1e-8, 1e-8))
