@@ -22,10 +22,12 @@ from .errors import DimensionError
 
 
 def _check_n(n: int) -> int:
-    n = int(n)
+    # bool is an int subclass, but True is not a dimension
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionError(f"fiber dimension n must be an integer, got {n!r}")
     if n < 1:
         raise DimensionError("fiber dimension n must be at least 1")
-    return n
+    return int(n)
 
 
 def g0(n: int) -> BilinearForm:

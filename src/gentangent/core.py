@@ -302,28 +302,9 @@ def dual_map(a) -> np.ndarray:
     return _as_matrix(a).T.copy()
 
 
-def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL, *, _inverse=None) -> bool:
-    """The one rank test: sigma_min <= tol.abs * max(sigma_max, 1) for the
-    singular values of gram, ``Tolerance._admits`` at (max(sigma_max, 1), 0).
-
-    gram is inverted (a caller that has the inverse passes it as the private
-    ``_inverse``), and ``_certifies_nondegenerate`` reads "nondegenerate" from
-    it where it can; the SVD runs only where that is silent.  So every
-    answer, down to its type, is the SVD rule's.
-    """
-    gram = np.asarray(gram, dtype=float)
-    x = _inverse_or_none(gram) if _inverse is None else _inverse
-    if x is not None and _certifies_nondegenerate(gram, x, tol):
-        return np.False_
-    sv = np.linalg.svd(gram, compute_uv=False)
-    return sv.size == 0 or tol._admits(sv[-1], max(sv[0], 1.0), 0)
-
-
-def _inverse_or_none(a):
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return None
+def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """The rank test: ``_inverse_unless_degenerate`` gives None (a numpy.bool_)."""
+    return np.bool_(_inverse_unless_degenerate(gram, tol) is None)
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -336,7 +317,7 @@ _SQUARES_RANGE = (2.0**-800, 2.0**800)
 
 
 def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
-    """True only if ``is_degenerate(a, tol)`` is False, judged from x ~ a^-1.
+    """True only if the SVD rule finds a nondegenerate, judged from x ~ a^-1.
 
     Write u = 2^-53 and E = I - X A, exactly, for the computed X.  The
     computed product is within gamma_n |X||A| of X A, and each computed
@@ -382,15 +363,20 @@ def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bo
 
 
 def _inverse_unless_degenerate(a, tol: Tolerance):
-    """``np.linalg.inv(a)``, or None where ``is_degenerate(a, tol)`` holds,
-    decided from that one inverse.  The answer and the bits are those of
-    "test, then invert", including a ``LinAlgError`` from inverting a matrix
-    the SVD calls nondegenerate.
-    """
-    x = _inverse_or_none(a)
-    if is_degenerate(a, tol, _inverse=x):
+    """The one rank routine: x = ``np.linalg.inv(a)``, computed once, or None
+    where a is degenerate at tol.  That is where LAPACK cannot invert a (an
+    exact zero pivot: singular to within the roundoff of its LU factors),
+    and else, unless ``_certifies_nondegenerate`` proves x good, where the
+    SVD rule sigma_min <= tol.abs * max(sigma_max, 1) holds."""
+    a = _as_matrix(a)
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
         return None
-    return np.linalg.inv(a) if x is None else x
+    if _certifies_nondegenerate(a, x, tol):
+        return x
+    sv = np.linalg.svd(a, compute_uv=False)
+    return None if sv.size == 0 or tol._admits(sv[-1], max(sv[0], 1.0), 0) else x
 
 
 def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
@@ -398,10 +384,10 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
 
     flat sends X-coordinates to the dual coordinates of flat(X), i.e.
     flat = gram.T; sharp is its inverse.  Both are computed once per
-    (form, tol), kept on the form and returned read-only.  A degenerate
-    form (``is_degenerate`` of flat, which has the Gram's singular values)
-    raises ``DegenerateFormError``, on every call: errors are not kept.  The
-    rank test reads the sharp that is computed anyway.
+    (form, tol), kept on the form and returned read-only.  sharp is
+    ``_inverse_unless_degenerate`` of flat, which has the Gram's singular
+    values; where it is None, ``DegenerateFormError`` is raised, on every
+    call: errors are not kept.
     """
     key = ("musicals", tol)
     if key not in b._facts:

@@ -117,8 +117,8 @@ def _diagonal(h, lam: int) -> BlockOperator:
 def induced_metric(g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     """Generalized metric induced by a base metric: Gram [[G, 0], [0, G^-1]].
 
-    A degenerate G (``is_degenerate``) raises ``DegenerateFormError``; the
-    rank test reads the G^-1 that the Gram needs anyway.
+    G^-1 is ``_inverse_unless_degenerate`` of G, the one rank routine; where
+    it finds none, G is degenerate and ``DegenerateFormError`` is raised.
     """
     if g.kind != SYMMETRIC:
         raise ValueError("expected a symmetric base form")

@@ -70,6 +70,19 @@ def test_dimension_validated():
         gt.f0(-1)
 
 
+@pytest.mark.parametrize("build", [gt.g0, gt.omega0, gt.f0])
+@pytest.mark.parametrize("n", [2.5, 3.9, 2.0, True, np.True_, "3", None])
+def test_dimension_that_is_not_an_integer_is_refused(build, n):
+    # int(n) would build n = 2, 3, 2, 1, 1 and 3 from these
+    with pytest.raises(gt.DimensionError, match="must be an integer"):
+        build(n)
+
+
+def test_numpy_integer_dimension_is_accepted():
+    assert gt.g0(np.int64(3)) is gt.g0(3)
+    assert np.array_equal(gt.f0(np.int32(2)).matrix, gt.f0(2).matrix)
+
+
 def test_canonical_forms_are_shared_per_n():
     for n in (1, 3, 32):
         assert gt.g0(n) is gt.g0(n)

@@ -375,6 +375,17 @@ def test_classify_singular_base_metric_exits_2(capsys, monkeypatch):
     assert err == "error: base form is numerically degenerate\n"
 
 
+@pytest.mark.parametrize("command", [["build", "Jg", "--input", "-"], ["classify", "-"]])
+def test_singular_base_below_the_certificate_floor_exits_2(capsys, monkeypatch, command):
+    # at --tol 1e-20 the SVD's roundoff sigma_min is above the threshold, but
+    # LAPACK cannot invert the Gram, so it is degenerate: no numpy message
+    doc = {"n": 2, "family": "Jg", "base": {"g": [[1, 2], [2, 4]]}}
+    code, out, err = run_cli(capsys, monkeypatch, [*command, "--tol", "1e-20"],
+                             json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err == "error: base form is numerically degenerate\n"
+
+
 def _metric_doc(h, gram, kind):
     return json.dumps({"n": 1, "operator": {"H": [[h]], "sigma": [[0]], "tau": [[0]],
                                             "K": [[1]]},

@@ -2,8 +2,9 @@
 
 ``tests/output_groups.txt`` holds the digest of every group, and
 ``tests/output_cases.txt`` one line per run of the ``fixtures`` and ``inputs``
-groups.  This recomputes the groups that take about a second; ``python3
-tools/output_digest.py --check`` recomputes all of them.  A change that
+groups.  This recomputes the groups that take about a second, among them
+``tolerances``, which asks the rank test at tolerances whose abs and rel
+differ; ``python3 tools/output_digest.py --check`` recomputes all of them.  A change that
 alters an output rewrites both files (``--write``) in the same commit, and
 names the changed cases (the lines this test prints) in CHANGES.md.
 """
@@ -13,7 +14,7 @@ from gentangent.ae_zoo import FAMILY_IDS
 
 from test_input_mutants import output_digest
 
-GROUPS = ("fixtures", "inputs", "build", "signs")
+GROUPS = ("fixtures", "inputs", "build", "signs", "tolerances")
 
 
 def test_quick_groups_match_the_committed_outputs():

@@ -1,9 +1,15 @@
-"""``is_degenerate`` is the one rank test, and it answers as the SVD does.
+"""``_inverse_unless_degenerate`` is the one rank routine, and
+``is_degenerate`` reads its answer.
 
-It inverts the matrix, reads "nondegenerate" from that inverse where
+The routine inverts the matrix once.  A matrix that LAPACK cannot invert
+(an exact zero pivot) is degenerate at every tolerance.  Otherwise the
+routine reads "nondegenerate" from that inverse where
 ``_certifies_nondegenerate`` can, and runs the SVD only where the
 certificate is silent.  The oracle here is the SVD rule itself, written out:
-sigma_min <= tol.abs * max(sigma_max, 1).
+sigma_min <= tol.abs * max(sigma_max, 1).  On all registry and pipe traffic
+it agrees with LAPACK's refusals; below the certificate's floor (tol.abs <
+64 n u) it calls some exactly singular matrices nondegenerate, and there
+the refusal decides.
 """
 
 import ast
@@ -13,7 +19,7 @@ import numpy as np
 import pytest
 
 import gentangent as gt
-from gentangent import cli, core, gen_metrics, registry
+from gentangent import ae_zoo, cli, core, gen_metrics, registry
 from gentangent.ae_zoo import FAMILY_IDS
 from gentangent.core import _certifies_nondegenerate, _inverse_unless_degenerate, is_degenerate
 
@@ -21,7 +27,7 @@ from test_input_mutants import output_digest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gentangent"
 SUB_FLOOR = gt.Tolerance(1e-20, 1e-9)
-_SVD = np.linalg.svd  # the oracle's own, never counted
+_SVD, _INV = np.linalg.svd, np.linalg.inv  # the oracle's own, never counted
 
 
 def svd_oracle(a, tol):
@@ -29,56 +35,68 @@ def svd_oracle(a, tol):
     return sv.size == 0 or sv[-1] <= tol.abs * max(sv[0], 1.0)
 
 
-def certificate_is_silent(a, tol):
+def svd_runs(a, tol):
+    """Whether the routine needs the SVD: LAPACK inverts a, and the
+    certificate is silent."""
     try:
-        x = np.linalg.inv(a)
+        x = _INV(a)
     except np.linalg.LinAlgError:
-        return True
+        return False
     return not _certifies_nondegenerate(a, x, tol)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """A list that grows by one at every ``np.linalg.svd`` call."""
-    calls = []
+def _counted(monkeypatch, name):
+    """A list that grows by one at every ``np.linalg.<name>`` call."""
+    calls, real = [], getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return _SVD(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
 @pytest.fixture
-def asked(monkeypatch, svd_calls):
-    """(matrix, tol, answer, SVDs run) of every ``is_degenerate`` call,
-    whether from ``core`` itself or from ``gen_metrics``."""
-    seen, real = [], core.is_degenerate
+def svd_calls(monkeypatch):
+    return _counted(monkeypatch, "svd")
 
-    def spy(gram, tol=core.DEFAULT_TOL, **private):
-        before = len(svd_calls)
-        got = real(gram, tol, **private)
-        seen.append((np.array(gram, dtype=float), tol, got, len(svd_calls) - before))
+
+@pytest.fixture
+def asked(monkeypatch, svd_calls):
+    """(matrix, tol, answer, inversions, SVDs) of every rank question: each
+    call of ``_inverse_unless_degenerate``, whether from ``core`` itself
+    (``is_degenerate``, ``musicals``), ``gen_metrics`` or ``ae_zoo``."""
+    seen, real, inv_calls = [], core._inverse_unless_degenerate, _counted(monkeypatch, "inv")
+
+    def spy(a, tol):
+        invs, svds = len(inv_calls), len(svd_calls)
+        got = real(a, tol)
+        seen.append((np.array(a, dtype=float), tol, got,
+                     len(inv_calls) - invs, len(svd_calls) - svds))
         return got
 
-    for module in (core, gen_metrics):
-        monkeypatch.setattr(module, "is_degenerate", spy)
+    for module in (core, gen_metrics, ae_zoo):
+        monkeypatch.setattr(module, "_inverse_unless_degenerate", spy)
     return seen
 
 
 def _assert_svd_answers(seen):
-    for a, tol, got, svds in seen:
-        want = svd_oracle(a, tol)
-        assert got == want and type(got) is type(want), (a.shape, tol)
+    for a, tol, got, invs, svds in seen:
+        assert (got is None) == svd_oracle(a, tol), (a.shape, tol)
+        # one inversion per question, and its bits are the answer
+        assert invs == 1, (a.shape, tol)
+        assert got is None or np.array_equal(got, _INV(a)), (a.shape, tol)
         # the SVD runs exactly where the certificate cannot decide
-        assert svds == int(certificate_is_silent(a, tol)), (a.shape, tol)
+        assert svds == int(svd_runs(a, tol)), (a.shape, tol)
 
 
-@pytest.mark.parametrize("n, trials", [(3, 20), (8, 3), (32, 3)])
-def test_registry_traffic_gets_the_svd_answer(asked, n, trials):
+@pytest.mark.parametrize("n, trials, questions", [(3, 20, 1787), (8, 3, 291), (32, 3, 291)])
+def test_registry_traffic_gets_the_svd_answer(asked, n, trials, questions):
     registry.run_all(n, trials, seed=1)
-    assert len(asked) > trials
+    # is_degenerate answers 21 of the 291 at n = 32; musicals, induced_metric
+    # and extract_base_complex ask the routine itself
+    assert len(asked) == questions
     _assert_svd_answers(asked)
 
 
@@ -121,20 +139,65 @@ def _singular_but_not_below_the_floor():
     return a
 
 
-def test_below_the_certificate_floor_the_svd_answers_uninvertible_input():
-    # tol.abs < 64 n u: the certificate is never asked, and a matrix that
-    # inv refuses still gets the SVD rule's answer, "nondegenerate" (the
-    # absolute floor of the rule, ROADMAP item 1)
+def _assert_degenerate_everywhere(a, tol):
+    """Each construction that needs a's inverse refuses a with a library
+    error, or reports it not injective; none raises a ``LinAlgError``."""
+    assert _inverse_unless_degenerate(a, tol) is None
+    got = is_degenerate(a, tol)
+    assert got == np.True_ and type(got) is np.bool_
+    # musicals inverts flat = gram.T, and induced_metric the Gram itself
+    with pytest.raises(gt.DegenerateFormError):
+        gt.musicals(gt.BaseForm(a.T), tol)
+    with pytest.raises(gt.DegenerateFormError):
+        gt.induced_metric(gt.BaseForm(a), tol)
+    _, report = gt.metric_from_endomorphism(gt.BlockOperator.from_matrix(a), tol)
+    assert gen_metrics.NOT_INJECTIVE in report.violations
+    with pytest.raises(gt.DegenerateFormError):
+        gt.endomorphism_from_metric(gt.BilinearForm(a, gt.SYMMETRIC), tol)
+
+
+def test_below_the_certificate_floor_an_uninvertible_matrix_is_degenerate(svd_calls):
+    # tol.abs < 64 n u: the certificate is never asked, and the SVD rule
+    # would call this exactly singular matrix nondegenerate (the absolute
+    # floor of the rule, ROADMAP item 1); LAPACK's refusal decides first
     a = _singular_but_not_below_the_floor()
     assert SUB_FLOOR.abs < 64 * 4 * 2.0**-53
-    got = is_degenerate(a, SUB_FLOOR)
-    assert got == np.False_ and type(got) is np.bool_
-    op = gt.BlockOperator.from_matrix(a)
-    _, report = gt.metric_from_endomorphism(op, SUB_FLOOR)
-    assert gen_metrics.NOT_INJECTIVE not in report.violations
-    assert gt.endomorphism_from_metric(gt.BilinearForm(a, gt.SYMMETRIC), SUB_FLOOR).n == 2
-    with pytest.raises(np.linalg.LinAlgError):
-        _inverse_unless_degenerate(a, SUB_FLOOR)
+    _assert_degenerate_everywhere(a, SUB_FLOOR)
+    assert svd_calls == []
+
+
+def test_a_non_square_matrix_is_refused_not_called_degenerate():
+    # np.linalg.inv refuses it too, but that says nothing about its rank
+    with pytest.raises(gt.DimensionError):
+        is_degenerate(np.ones((2, 3)))
+    with pytest.raises(gt.DimensionError):
+        gt.diagonal_inducer(np.ones((2, 3)), +1)
+
+
+def _uninvertible_products():
+    """The products of integer 4x2 and 2x4 factors with entries in [-3, 3],
+    2,000 of them, that ``np.linalg.inv`` refuses.  Each has rank at most
+    2, exactly."""
+    rng = np.random.default_rng(0)
+    products = []
+    for _ in range(2000):
+        a = (rng.integers(-3, 4, (4, 2)) @ rng.integers(-3, 4, (2, 4))).astype(float)
+        try:
+            np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            products.append(a)
+    return products
+
+
+def test_every_matrix_lapack_cannot_invert_is_degenerate():
+    products = _uninvertible_products()
+    # most of them: the SVD rule alone calls most of these nondegenerate
+    # at SUB_FLOOR, so this is not a handful of easy cases
+    assert len(products) > 1500
+    assert sum(not svd_oracle(a, SUB_FLOOR) for a in products) > 1000
+    for a in products:
+        for tol in (SUB_FLOOR, gt.DEFAULT_TOL):
+            _assert_degenerate_everywhere(a, tol)
 
 
 def test_run_all_at_n32_runs_no_svd(svd_calls):
@@ -178,6 +241,9 @@ def _uses(name):
     return found
 
 
-def test_only_is_degenerate_runs_the_svd_or_the_certificate():
-    assert _uses("svd") == [("core.py", "is_degenerate")]
-    assert _uses("_certifies_nondegenerate") == [("core.py", "is_degenerate")]
+def test_only_the_rank_routine_runs_the_svd_or_the_certificate():
+    routine = ("core.py", "_inverse_unless_degenerate")
+    assert _uses("svd") == [routine]
+    assert _uses("_certifies_nondegenerate") == [routine]
+    # and core inverts nowhere else
+    assert [use for use in _uses("inv") if use[0] == "core.py"] == [routine]
