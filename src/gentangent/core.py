@@ -364,11 +364,13 @@ def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bo
 
 def _inverse_unless_degenerate(a, tol: Tolerance):
     """The one rank routine: x = ``np.linalg.inv(a)``, computed once, or None
-    where a is degenerate at tol.  That is where LAPACK cannot invert a (an
-    exact zero pivot: singular to within the roundoff of its LU factors),
-    and else, unless ``_certifies_nondegenerate`` proves x good, where the
-    SVD rule sigma_min <= tol.abs * max(sigma_max, 1) holds."""
+    where a is degenerate at tol: where LAPACK cannot invert a (an exact zero
+    pivot: singular to within the roundoff of its LU factors), and else, unless
+    ``_certifies_nondegenerate`` proves x good, where the SVD rule sigma_min <=
+    tol.abs * max(sigma_max, 1) holds.  A NaN or infinite entry: ValueError."""
     a = _as_matrix(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     try:
         x = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -385,9 +387,9 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
     flat sends X-coordinates to the dual coordinates of flat(X), i.e.
     flat = gram.T; sharp is its inverse.  Both are computed once per
     (form, tol), kept on the form and returned read-only.  sharp is
-    ``_inverse_unless_degenerate`` of flat, which has the Gram's singular
-    values; where it is None, ``DegenerateFormError`` is raised, on every
-    call: errors are not kept.
+    ``_inverse_unless_degenerate`` of flat, the one inversion of a base form
+    (``induced_metric`` and ``nannicini_metric`` read sharp.T from here); where
+    it is None, ``DegenerateFormError`` is raised on every call.
     """
     key = ("musicals", tol)
     if key not in b._facts:

@@ -26,7 +26,6 @@ from .core import (
     DEFAULT_TOL,
     Tolerance,
     _assemble,
-    _inverse_unless_degenerate,
     _square_sign,
     close,
     dual_map,
@@ -117,15 +116,13 @@ def _diagonal(h, lam: int) -> BlockOperator:
 def induced_metric(g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     """Generalized metric induced by a base metric: Gram [[G, 0], [0, G^-1]].
 
-    G^-1 is ``_inverse_unless_degenerate`` of G, the one rank routine; where
-    it finds none, G is degenerate and ``DegenerateFormError`` is raised.
+    G^-1 is sharp.T, as sharp = (G.T)^-1, from ``musicals``, which inverts
+    each form once per tol and raises ``DegenerateFormError`` where it cannot.
     """
     if g.kind != SYMMETRIC:
         raise ValueError("expected a symmetric base form")
-    inverse = _inverse_unless_degenerate(g.gram, tol)
-    if inverse is None:
-        raise DegenerateFormError("base metric is numerically degenerate")
-    return BilinearForm(_assemble(g.gram, 0, 0, inverse), SYMMETRIC)
+    _, sharp = musicals(g, tol)
+    return BilinearForm(_assemble(g.gram, 0, 0, sharp.T), SYMMETRIC)
 
 
 def nannicini_metric(j, g: BaseForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:

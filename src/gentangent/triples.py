@@ -141,8 +141,8 @@ def expected_triple_kind(name: str) -> str:
 def combine(a: float, b: float, c: float, triple, tol: Tolerance = DEFAULT_TOL):
     """Linear combination a F + b F' + c J of an anti-commuting triple.
 
-    The square of the combination is (a^2 + b^2 - c^2) Id, so the result is
-    almost product or almost complex according to the sign of that quadratic.
+    It squares to q Id, q = a^2 + b^2 - c^2; its class, that of the unscaled
+    combination, is "product" at q = 1, "complex" at q = -1, else "neither".
     """
     first, second, third = triple
     if classify_triple(first, second, tol).kind != BIPARACOMPLEX:
@@ -235,11 +235,6 @@ def _shear(sigma: np.ndarray) -> np.ndarray:
     return _assemble(ident, 0, sigma, ident)
 
 
-def _sigma_matrix(b: np.ndarray) -> np.ndarray:
-    # (sigma X)(Y) = b(X, Y), so sigma = b_gram.T as a coordinate map
-    return b.T.copy()
-
-
 def kahler_from_data(kd: KahlerData, tol: Tolerance = DEFAULT_TOL):
     """The two commuting complex structures determined by (b, g, J1, J2).
 
@@ -256,7 +251,8 @@ def kahler_from_data(kd: KahlerData, tol: Tolerance = DEFAULT_TOL):
         fl, sh = musicals(phi, tol)
         flats.append(fl)
         sharps.append(sh)
-    sigma = _sigma_matrix(kd.b)
+    # (sigma X)(Y) = b(X, Y), so sigma = b_gram.T as a coordinate map
+    sigma = dual_map(kd.b)
     shear = _shear(sigma)
     unshear = _shear(-sigma)
     out = []

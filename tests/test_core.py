@@ -519,7 +519,7 @@ def test_small_base_metrics_stay_degenerate():
                        match="base form is numerically degenerate"):
         gt.build_family("Jg", small)
     with pytest.raises(gt.DegenerateFormError,
-                       match="base metric is numerically degenerate"):
+                       match="base form is numerically degenerate"):
         gt.induced_metric(small)
 
 

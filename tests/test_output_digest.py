@@ -4,7 +4,9 @@
 ``tests/output_cases.txt`` one line per run of the ``fixtures`` and ``inputs``
 groups.  This recomputes the groups that take about a second, among them
 ``tolerances``, which asks the rank test at tolerances whose abs and rel
-differ; ``python3 tools/output_digest.py --check`` recomputes all of them.  A change that
+differ, and the outputs of both benchmark workloads: ``build | classify``
+and ``verify`` at ``--dim 8 --trials 5`` and ``--dim 32 --trials 3``, seeds
+1-8.  ``python3 tools/output_digest.py --check`` recomputes all of them.  A change that
 alters an output rewrites both files (``--write``) in the same commit, and
 names the changed cases (the lines this test prints) in CHANGES.md.
 """
@@ -14,7 +16,8 @@ from gentangent.ae_zoo import FAMILY_IDS
 
 from test_input_mutants import output_digest
 
-GROUPS = ("fixtures", "inputs", "build", "signs", "tolerances")
+GROUPS = ("fixtures", "inputs", "build", "build | classify", "signs", "tolerances",
+          "verify --dim 8 --trials 5", "verify --dim 32 --trials 3")
 
 
 def test_quick_groups_match_the_committed_outputs():

@@ -1,9 +1,13 @@
 """``_inverse_unless_degenerate`` is the one rank routine, and
 ``is_degenerate`` reads its answer.
 
-The routine inverts the matrix once.  A matrix that LAPACK cannot invert
-(an exact zero pivot) is degenerate at every tolerance.  Otherwise the
-routine reads "nondegenerate" from that inverse where
+Only ``is_degenerate``, ``musicals`` and ``extract_base_complex`` call it.
+A base form is inverted once per tolerance, as flat = gram.T, by
+``musicals``; ``induced_metric`` and ``nannicini_metric`` read sharp.T from
+it, so the two agree on every form.  The routine refuses a NaN or infinite
+entry with ``ValueError``, and inverts any other matrix once.  A matrix that
+LAPACK cannot invert (an exact zero pivot) is degenerate at every tolerance.
+Otherwise the routine reads "nondegenerate" from that inverse where
 ``_certifies_nondegenerate`` can, and runs the SVD only where the
 certificate is silent.  The oracle here is the SVD rule itself, written out:
 sigma_min <= tol.abs * max(sigma_max, 1).  On all registry and pipe traffic
@@ -66,7 +70,7 @@ def svd_calls(monkeypatch):
 def asked(monkeypatch, svd_calls):
     """(matrix, tol, answer, inversions, SVDs) of every rank question: each
     call of ``_inverse_unless_degenerate``, whether from ``core`` itself
-    (``is_degenerate``, ``musicals``), ``gen_metrics`` or ``ae_zoo``."""
+    (``is_degenerate``, ``musicals``) or ``ae_zoo``."""
     seen, real, inv_calls = [], core._inverse_unless_degenerate, _counted(monkeypatch, "inv")
 
     def spy(a, tol):
@@ -76,7 +80,7 @@ def asked(monkeypatch, svd_calls):
                      len(inv_calls) - invs, len(svd_calls) - svds))
         return got
 
-    for module in (core, gen_metrics, ae_zoo):
+    for module in (core, ae_zoo):
         monkeypatch.setattr(module, "_inverse_unless_degenerate", spy)
     return seen
 
@@ -92,14 +96,14 @@ def _assert_svd_answers(seen):
 
 
 # rank questions that registry.run_all(n, trials, seed=1) asks, keyed by n
-_REGISTRY_QUESTIONS = {3: 1787, 8: 291, 32: 291}
+_REGISTRY_QUESTIONS = {3: 1627, 8: 267, 32: 267}
 
 
 @pytest.mark.parametrize("n, trials", [(3, 20), (8, 3), (32, 3)])
 def test_registry_traffic_gets_the_svd_answer(asked, n, trials):
     registry.run_all(n, trials, seed=1)
-    # is_degenerate answers 21 of the 291 at n = 32; musicals, induced_metric
-    # and extract_base_complex ask the routine itself
+    # is_degenerate answers 21 of the 267 at n = 32; musicals (for
+    # induced_metric too) and extract_base_complex ask the routine itself
     assert len(asked) == _REGISTRY_QUESTIONS[n]
     _assert_svd_answers(asked)
 
@@ -149,11 +153,11 @@ def _assert_degenerate_everywhere(a, tol):
     assert _inverse_unless_degenerate(a, tol) is None
     got = is_degenerate(a, tol)
     assert got == np.True_ and type(got) is np.bool_
-    # musicals inverts flat = gram.T, and induced_metric the Gram itself
+    # both invert flat = gram.T, through musicals
     with pytest.raises(gt.DegenerateFormError):
         gt.musicals(gt.BaseForm(a.T), tol)
     with pytest.raises(gt.DegenerateFormError):
-        gt.induced_metric(gt.BaseForm(a), tol)
+        gt.induced_metric(gt.BaseForm(a.T), tol)
     _, report = gt.metric_from_endomorphism(gt.BlockOperator.from_matrix(a), tol)
     assert gen_metrics.NOT_INJECTIVE in report.violations
     with pytest.raises(gt.DegenerateFormError):
@@ -204,6 +208,34 @@ def test_every_matrix_lapack_cannot_invert_is_degenerate():
             _assert_degenerate_everywhere(a, tol)
 
 
+def test_musicals_and_induced_metric_agree_on_every_uninvertible_product():
+    # both raise or both return, on a fresh form each: induced_metric reads
+    # sharp.T from musicals, so a base form is inverted in one place only
+    for a in _uninvertible_products():
+        for tol in (SUB_FLOOR, gt.DEFAULT_TOL):
+            outcomes = []
+            for build in (gt.musicals, gt.induced_metric):
+                try:
+                    build(gt.BaseForm(a), tol)
+                except gt.DegenerateFormError:
+                    outcomes.append("degenerate")
+                else:
+                    outcomes.append("returned")
+            assert outcomes[0] == outcomes[1], (a.tolist(), tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_nan_or_infinite_entry_is_refused_by_every_rank_question(bad):
+    # before any inversion: no LinAlgError and no answer read from it
+    a = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        is_degenerate(a)
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        gt.musicals(gt.BaseForm(a))
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        gt.induced_metric(gt.BaseForm(a))
+
+
 def test_run_all_at_n32_runs_no_svd(svd_calls):
     registry.run_all(32, 3, seed=1)
     assert svd_calls == []
@@ -251,3 +283,10 @@ def test_only_the_rank_routine_runs_the_svd_or_the_certificate():
     assert _uses("_certifies_nondegenerate") == [routine]
     # and core inverts nowhere else
     assert [use for use in _uses("inv") if use[0] == "core.py"] == [routine]
+
+
+def test_only_musicals_is_degenerate_and_extract_base_complex_ask_the_routine():
+    # every base form is inverted by musicals, induced_metric included
+    assert _uses("_inverse_unless_degenerate") == [
+        ("ae_zoo.py", "<module>"), ("ae_zoo.py", "extract_base_complex"),
+        ("core.py", "is_degenerate"), ("core.py", "musicals")]

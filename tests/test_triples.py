@@ -131,8 +131,12 @@ def test_combine_law():
         m = combo.assemble()
         q = a * a + b * b - c * c
         assert np.allclose(m @ m, q * np.eye(4), atol=1e-8)
-        if abs(abs(q) - 0.0) > 1e-6:
-            assert pc.kind in ("complex", "product", "neither")
+        # the class is the unscaled combination's: q Id is +-Id only at |q| = 1
+        assert abs(abs(q) - 1.0) > 1e-6 and pc.kind == "neither"
+        for coefficients, kind in (((0.6, 0.8, 0.0), "product"), ((1.25, 0.0, 0.75), "product"),
+                                   ((0.0, 0.0, 1.0), "complex"), ((0.75, 0.0, 1.25), "complex"),
+                                   ((2.0, 0.0, 0.0), "neither"), ((1.5, 0.3, 0.2), "neither")):
+            assert gt.combine(*coefficients, triple)[1].kind == kind, (seed, coefficients)
 
 
 def test_combine_rejects_commuting_input():
