@@ -15,9 +15,9 @@ Conventions used throughout the package:
   which realises ``(A* xi)(X) = xi(A X)``.
 * An endomorphism of V + V* is a ``BlockOperator``: one read-only 2n x 2n
   matrix [[H, sigma], [tau, K]], whose four blocks are views into it.
-* Forms are values: ``BaseForm`` and ``BilinearForm`` keep a read-only copy
-  of their Gram, so facts derived from it (``musicals``, ``signature``) are
-  computed once per form and tolerance and kept on the form.
+* Forms are values: ``BaseForm`` and ``BilinearForm`` keep, read-only, their
+  kind's part of the Gram they are given (``_own_gram``); facts derived from
+  it (``musicals``, ``signature``) are kept on the form per tolerance.
 
 Worked n=1 example: g = [2] gives flat = [2], sharp = [0.5], and
 flat(1)(1) = 2 = g(1, 1).
@@ -94,6 +94,12 @@ def _as_matrix(a, n=None) -> np.ndarray:
     return m
 
 
+def _finite(m):
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a NaN or infinite entry")
+    return m
+
+
 def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Frobenius-norm closeness: ||a - b|| <= abs + rel * max(||a||, ||b||).
 
@@ -104,9 +110,11 @@ def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    peak = max(abs(a).max(initial=0.0), abs(b).max(initial=0.0))
+    peaks = abs(a).max(initial=0.0), abs(b).max(initial=0.0)
+    if not (math.isfinite(peaks[0]) and math.isfinite(peaks[1])):
+        raise ValueError("matrix has a NaN or infinite entry")
     # the exponent is clamped so that s itself stays a finite double
-    s = 2.0 ** -max(math.frexp(peak)[1], -1023)
+    s = 2.0 ** -max(math.frexp(max(peaks))[1], -1023)
     a, b = s * a, s * b
     scale = max(np.linalg.norm(a), np.linalg.norm(b))
     return tol._admits(np.linalg.norm(a - b), s, scale)
@@ -189,7 +197,7 @@ class BlockOperator(_ReadOnly):
         self._freeze(_assemble(H, sigma, tau, K))
 
     def _freeze(self, m: np.ndarray) -> None:
-        m.flags.writeable = False
+        _finite(m).flags.writeable = False
         self._set(matrix=m)
 
     @classmethod
@@ -237,11 +245,15 @@ class BlockOperator(_ReadOnly):
         return BlockOperator._of(-self.matrix)
 
 
-def _own_gram(form, gram) -> np.ndarray:
-    """Give a form a read-only copy of its Gram and an empty memo of facts."""
-    g = _as_matrix(np.array(gram, dtype=float))
+def _own_gram(form, gram, kind: str) -> np.ndarray:
+    """Give a form its kind, an empty memo of facts and a read-only Gram: G/2 +
+    G.T/2 (symmetric) or G/2 - G.T/2 (skew), exactly of that kind as addition
+    commutes and negation is exact, or G (general).  NaN or inf: ValueError."""
+    g = _finite(_as_matrix(np.array(gram, dtype=float)))
+    if kind != GENERAL:
+        g = 0.5 * g + (0.5 if kind == SYMMETRIC else -0.5) * g.T
     g.flags.writeable = False
-    form._set(gram=g, _facts={})
+    form._set(gram=g, kind=kind, _facts={})
     return g
 
 
@@ -251,11 +263,10 @@ class BilinearForm(_ReadOnly):
     __slots__ = ("gram", "kind", "_facts")
 
     def __init__(self, gram, kind: str = GENERAL):
-        if _own_gram(self, gram).shape[0] % 2 != 0:
-            raise DimensionError("Gram matrix must be 2n x 2n")
         if kind not in (SYMMETRIC, SKEW, GENERAL):
             raise ValueError(f"unknown form kind {kind!r}")
-        self._set(kind=kind)
+        if _own_gram(self, gram, kind).shape[0] % 2 != 0:
+            raise DimensionError("Gram matrix must be 2n x 2n")
 
     @property
     def n(self) -> int:
@@ -273,10 +284,9 @@ class BaseForm(_ReadOnly):
     __slots__ = ("gram", "kind", "_facts")
 
     def __init__(self, gram, kind: str = SYMMETRIC):
-        _own_gram(self, gram)
         if kind not in (SYMMETRIC, SKEW):
             raise ValueError(f"base form kind must be symmetric or skew, got {kind!r}")
-        self._set(kind=kind)
+        _own_gram(self, gram, kind)
 
     @property
     def n(self) -> int:
@@ -368,9 +378,7 @@ def _inverse_unless_degenerate(a, tol: Tolerance):
     pivot: singular to within the roundoff of its LU factors), and else, unless
     ``_certifies_nondegenerate`` proves x good, where the SVD rule sigma_min <=
     tol.abs * max(sigma_max, 1) holds.  A NaN or infinite entry: ValueError."""
-    a = _as_matrix(a)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a NaN or infinite entry")
+    a = _finite(_as_matrix(a))
     try:
         x = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -413,7 +421,7 @@ def signature(f, tol: Tolerance = DEFAULT_TOL):
         raise ValueError("signature is defined for symmetric forms only")
     key = ("signature", tol)
     if key not in f._facts:
-        eig = np.linalg.eigvalsh(0.5 * (f.gram + f.gram.T))
+        eig = np.linalg.eigvalsh(f.gram)
         if np.any(tol._admits(np.abs(eig), 1, 0)):
             raise DegenerateFormError("eigenvalue within tolerance of zero")
         r = int(np.sum(eig > 0))

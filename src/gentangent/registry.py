@@ -117,7 +117,6 @@ def _check_metric_char(n, trials, seed, tol):
         op = _random_inducer(n, rng)
         form, report = metric_from_endomorphism(op, tol)
         ok = report.valid and form.kind == SYMMETRIC
-        ok = ok and close(form.gram, form.gram.T, tol)
         back = endomorphism_from_metric(form, tol).assemble()
         yield (not (ok and close(back, op.assemble(), tol)),
                _residual(back, op.assemble()))
@@ -128,12 +127,11 @@ def _check_symplectic_char(n, trials, seed, tol):
         rng = SplitMix64(_trial_seed(seed, t))
         op = _random_inducer(n, rng, symplectic=True)
         form, report = symplectic_from_endomorphism(op, tol)
-        failed = not (report.valid and form.kind == SKEW
-                      and close(form.gram, -form.gram.T, tol))
+        failed = not (report.valid and form.kind == SKEW)
         # breaking one condition must be reported
         broken = BlockOperator(op.H, op.sigma + np.eye(n), op.tau, op.K)
         _, bad = symplectic_from_endomorphism(broken, tol)
-        yield failed + bad.valid, _residual(form.gram, -form.gram.T)
+        yield failed + bad.valid, _residual(form.gram, op.matrix.T @ g0(n).gram)
 
 
 _SIGNATURES = tuple((r, s) for r in range(7) for s in range(7 - r) if r + s)

@@ -218,14 +218,13 @@ class KahlerData(_ReadOnly):
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         if not close(self.b, -self.b.T, tol):
             raise InvalidKahlerDataError("b is not skew-symmetric")
-        gm = self.g.gram
-        if not close(gm, gm.T, tol) or not _positive_definite(self.g, tol):
+        if not _positive_definite(self.g, tol):
             raise InvalidKahlerDataError("g is not symmetric positive definite")
         for name in ("J1", "J2"):
             j = getattr(self, name)
             if _square_sign(j, tol) != -1:
                 raise InvalidKahlerDataError(f"{name} does not square to -I")
-            if _isometry_sign(j, gm, tol) != 1:
+            if _isometry_sign(j, self.g.gram, tol) != 1:
                 raise InvalidKahlerDataError(f"{name} is not a g-isometry")
         return True
 

@@ -122,6 +122,31 @@ def test_close_does_not_overflow_or_underflow():
     assert gt.close(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_close_refuses_a_nan_or_infinite_entry(bad):
+    # an infinite scale would admit any residual (inf <= inf); Python's max
+    # would drop a NaN beside a larger peak, as in (2 I, m); and beside
+    # 1e308 the refusal must come before any norm, which would overflow
+    m = np.diag([bad, 1.0])
+    for a, b in ((m, np.eye(2)), (np.eye(2), m), (2 * np.eye(2), m), (m, 1e308 * np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="NaN or infinite entry"):
+            gt.close(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_operators_refuse_a_nan_or_infinite_entry(bad):
+    # so polynomial_class, like every reader of an operator, never meets one
+    m = np.diag([bad, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        gt.BlockOperator.from_matrix(m)
+    with pytest.raises(ValueError, match="NaN or infinite entry"):
+        gt.BlockOperator(m[:2, :2], 0, 0, np.eye(2))
+    # a product that overflows is refused too
+    huge = gt.BlockOperator.from_matrix(1e200 * np.eye(4))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinite entry"):
+        huge.compose(huge)
+
+
 def test_generalized_vector_parts():
     v = gt.GeneralizedVector.from_parts([1.0, 2.0], [3.0, 4.0])
     assert v.n == 2
@@ -497,13 +522,15 @@ def test_rank_certificate_agrees_with_the_svd():
 
 def test_musicals_decide_on_flat_and_keep_its_inverse():
     # the rank test is of flat = gram.T, which has the Gram's singular
-    # values, and sharp is inv(flat), bit for bit, or the form is degenerate
-    for gram in (np.array([[2.0, 1.0], [-3.0, 1.0]]),
-                 np.array([[1.0, 1e-9], [0.0, 1e-9]]),
-                 np.array([[1.0, 2.0], [2.0, 4.0]]),
-                 _with_singular_values([1.0, 1e-9 * (1 + 1e-6)], 3)):
+    # values, and sharp is inv(flat), bit for bit, or the form is degenerate;
+    # the form's Gram is the symmetric part of the matrix it is given
+    for given in (np.array([[2.0, 1.0], [-3.0, 1.0]]),
+                  np.array([[1.0, 1e-9], [0.0, 1e-9]]),
+                  np.array([[1.0, 2.0], [2.0, 4.0]]),
+                  _with_singular_values([1.0, 1e-9 * (1 + 1e-6)], 3)):
+        gram = 0.5 * given + 0.5 * given.T
         for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15)):
-            b = gt.BaseForm(gram, gt.SYMMETRIC)
+            b = gt.BaseForm(given, gt.SYMMETRIC)
             if svd_oracle(gram, tol):
                 with pytest.raises(gt.DegenerateFormError):
                     gt.musicals(b, tol)

@@ -137,14 +137,16 @@ def test_certificate_hands_a_residual_above_one_half_to_the_svd(svd_calls):
 
 
 def _singular_but_not_below_the_floor():
-    """A rank-2 integer 4x4 matrix that ``np.linalg.inv`` refuses while its
-    roundoff sigma_min is above 1e-20 * sigma_max."""
+    """A rank-2 integer 4x4 matrix a, and the symmetric a a^T, that
+    ``np.linalg.inv`` refuses while their roundoff sigma_min is above 1e-20 *
+    sigma_max."""
     a = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 2], [1, 3, 4, 6]], dtype=float)
-    assert np.linalg.matrix_rank(a) == 2
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(a)
-    assert not svd_oracle(a, SUB_FLOOR)
-    return a
+    for m in (a, a @ a.T):
+        assert np.linalg.matrix_rank(m) == 2
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(m)
+        assert not svd_oracle(m, SUB_FLOOR)
+    return a, a @ a.T
 
 
 def _assert_degenerate_everywhere(a, tol):
@@ -153,24 +155,33 @@ def _assert_degenerate_everywhere(a, tol):
     assert _inverse_unless_degenerate(a, tol) is None
     got = is_degenerate(a, tol)
     assert got == np.True_ and type(got) is np.bool_
-    # both invert flat = gram.T, through musicals
-    with pytest.raises(gt.DegenerateFormError):
-        gt.musicals(gt.BaseForm(a.T), tol)
-    with pytest.raises(gt.DegenerateFormError):
-        gt.induced_metric(gt.BaseForm(a.T), tol)
     _, report = gt.metric_from_endomorphism(gt.BlockOperator.from_matrix(a), tol)
     assert gen_metrics.NOT_INJECTIVE in report.violations
+
+
+def _assert_every_form_degenerate(s, tol):
+    """The same for the forms whose Gram is s.  A symmetric form keeps the
+    symmetric part of the matrix it is given, so s must be symmetric: the
+    symmetric part of a singular matrix need not be singular."""
+    assert np.array_equal(s, s.T)
+    # both invert flat = gram.T, through musicals
     with pytest.raises(gt.DegenerateFormError):
-        gt.endomorphism_from_metric(gt.BilinearForm(a, gt.SYMMETRIC), tol)
+        gt.musicals(gt.BaseForm(s), tol)
+    with pytest.raises(gt.DegenerateFormError):
+        gt.induced_metric(gt.BaseForm(s), tol)
+    with pytest.raises(gt.DegenerateFormError):
+        gt.endomorphism_from_metric(gt.BilinearForm(s, gt.SYMMETRIC), tol)
 
 
 def test_below_the_certificate_floor_an_uninvertible_matrix_is_degenerate(svd_calls):
     # tol.abs < 64 n u: the certificate is never asked, and the SVD rule
-    # would call this exactly singular matrix nondegenerate (the absolute
+    # would call these exactly singular matrices nondegenerate (the absolute
     # floor of the rule, ROADMAP item 1); LAPACK's refusal decides first
-    a = _singular_but_not_below_the_floor()
+    a, s = _singular_but_not_below_the_floor()
     assert SUB_FLOOR.abs < 64 * 4 * 2.0**-53
-    _assert_degenerate_everywhere(a, SUB_FLOOR)
+    for m in (a, s):
+        _assert_degenerate_everywhere(m, SUB_FLOOR)
+    _assert_every_form_degenerate(s, SUB_FLOOR)
     assert svd_calls == []
 
 
@@ -182,14 +193,15 @@ def test_a_non_square_matrix_is_refused_not_called_degenerate():
         gt.diagonal_inducer(np.ones((2, 3)), +1)
 
 
-def _uninvertible_products():
-    """The products of integer 4x2 and 2x4 factors with entries in [-3, 3],
-    2,000 of them, that ``np.linalg.inv`` refuses.  Each has rank at most
-    2, exactly."""
+def _uninvertible_products(symmetric=False):
+    """Of 2,000 draws of integer 4x2 and 2x4 factors p, q with entries in
+    [-3, 3], the products p q, or the symmetric p p^T, that
+    ``np.linalg.inv`` refuses.  Each has rank at most 2, exactly."""
     rng = np.random.default_rng(0)
     products = []
     for _ in range(2000):
-        a = (rng.integers(-3, 4, (4, 2)) @ rng.integers(-3, 4, (2, 4))).astype(float)
+        p, q = rng.integers(-3, 4, (4, 2)), rng.integers(-3, 4, (2, 4))
+        a = (p @ (p.T if symmetric else q)).astype(float)
         try:
             np.linalg.inv(a)
         except np.linalg.LinAlgError:
@@ -198,14 +210,18 @@ def _uninvertible_products():
 
 
 def test_every_matrix_lapack_cannot_invert_is_degenerate():
-    products = _uninvertible_products()
-    # most of them: the SVD rule alone calls most of these nondegenerate
-    # at SUB_FLOOR, so this is not a handful of easy cases
-    assert len(products) > 1500
-    assert sum(not svd_oracle(a, SUB_FLOOR) for a in products) > 1000
-    for a in products:
-        for tol in (SUB_FLOOR, gt.DEFAULT_TOL):
+    products, symmetric = _uninvertible_products(), _uninvertible_products(symmetric=True)
+    for chosen in (products, symmetric):
+        # most of them: the SVD rule alone calls most of these nondegenerate
+        # at SUB_FLOOR, so this is not a handful of easy cases
+        assert len(chosen) > 1500
+        assert sum(not svd_oracle(a, SUB_FLOOR) for a in chosen) > 1000
+    for tol in (SUB_FLOOR, gt.DEFAULT_TOL):
+        for a in products:
             _assert_degenerate_everywhere(a, tol)
+        # the forms are built from the symmetric products (see above)
+        for s in symmetric:
+            _assert_every_form_degenerate(s, tol)
 
 
 def test_musicals_and_induced_metric_agree_on_every_uninvertible_product():
