@@ -97,7 +97,7 @@ def _tolerance(args):
         raise InputError(f"GENTANGENT_TOL is not a number: {env!r}")
     if getattr(args, "tol", None) is not None:
         value = args.tol
-    return DEFAULT_TOL if value is None else Tolerance(value, value)
+    return DEFAULT_TOL if value is None else Tolerance(value)
 
 
 def _matrix(doc, key, n, context):

@@ -53,33 +53,31 @@ class _ReadOnly:
 
 
 class Tolerance(_ReadOnly):
-    """Absolute / relative tolerances; equal and hashed by value (a memo key)."""
+    """One positive, finite tolerance t: ``_admits`` bounds a residual by
+    t * s + t * scale.  Equal and hashed by value (a memo key)."""
 
-    __slots__ = ("abs", "rel")
+    __slots__ = ("value",)
 
-    def __init__(self, abs: float = 1e-9, rel: float = 1e-9):
-        if not (np.isfinite(abs) and np.isfinite(rel)):
-            raise ValueError("tolerances must be finite")
-        if abs < 0 or rel < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if abs == 0 and rel == 0:
-            raise ValueError("at least one tolerance must be positive")
-        self._set(abs=abs, rel=rel)
+    def __init__(self, value: float = 1e-9):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError("tolerance must be positive and finite")
+        self._set(value=value)
 
     def __eq__(self, other):
         if type(other) is not Tolerance:
             return NotImplemented
-        return (self.abs, self.rel) == (other.abs, other.rel)
+        return self.value == other.value
 
     def __hash__(self):
-        return hash((self.abs, self.rel))
+        return hash(self.value)
 
     def __repr__(self):
-        return f"Tolerance(abs={self.abs!r}, rel={self.rel!r})"
+        return f"Tolerance({self.value!r})"
 
     def _admits(self, residual, s, scale):
-        """The one verdict rule, elementwise: residual <= abs * s + rel * scale."""
-        return residual <= self.abs * s + self.rel * scale
+        """The one verdict rule, elementwise: residual <= t * s + t * scale
+        (two products: t * (s + scale) rounds differently at the bound)."""
+        return residual <= self.value * s + self.value * scale
 
 
 DEFAULT_TOL = Tolerance()
@@ -101,7 +99,7 @@ def _finite(m):
 
 
 def close(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Frobenius-norm closeness: ||a - b|| <= abs + rel * max(||a||, ||b||).
+    """Frobenius-norm closeness: ||a - b|| <= t + t * max(||a||, ||b||).
 
     Both sides are first multiplied by the power of two s that brings the
     largest entry into [0.5, 1).  That is exact, so the answer is unchanged,
@@ -319,7 +317,7 @@ def is_degenerate(gram: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 _UNIT_ROUNDOFF = 2.0**-53
 # The certificate trusts LAPACK's singular values to within p(n) * u *
-# sigma_max for p(n) up to 32 n; it runs only where tol.abs >= 2 * 32 n u.
+# sigma_max for p(n) up to 32 n; it runs only where tol.value >= 2 * 32 n u.
 _SVD_SLACK = 64
 # Sums of squares outside [2^-800, 2^800] may have lost bits to underflow or
 # overflow; the certificate leaves such matrices to the SVD.
@@ -342,7 +340,7 @@ def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bo
     at least 1 - r, and sigma_min(A) >= (1 - r) / ||X||_2 >= lower, where
     lower = (1 - r) / (||X||_F (1 + delta)); sigma_max(A) <= upper =
     ||A||_F (1 + delta).  LAPACK's singular values are off by at most
-    e = p(n) u sigma_max <= (t / 2) M, for t = tol.abs >= 2 p(n) u and
+    e = p(n) u sigma_max <= (t / 2) M, for t = tol.value >= 2 p(n) u and
     M = max(upper, 1).  Acceptance, lower > 2 t M, forces t < 1/2 (as
     lower <= sigma_min <= M), and gives
 
@@ -353,7 +351,7 @@ def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bo
     non-finite intermediate, proves nothing and returns False.
     """
     n = a.shape[0]
-    if tol.abs < _SVD_SLACK * n * _UNIT_ROUNDOFF:
+    if tol.value < _SVD_SLACK * n * _UNIT_ROUNDOFF:
         return False
     delta = 2 * (n * n + n + 4) * _UNIT_ROUNDOFF
     with np.errstate(all="ignore"):
@@ -369,7 +367,7 @@ def _certifies_nondegenerate(a: np.ndarray, x: np.ndarray, tol: Tolerance) -> bo
     if not r <= 0.5:
         return False
     lower = (1 - r) / (x_norm * (1 + delta))
-    return lower > 2 * tol.abs * max(a_norm * (1 + delta), 1.0)
+    return lower > 2 * tol.value * max(a_norm * (1 + delta), 1.0)
 
 
 def _inverse_unless_degenerate(a, tol: Tolerance):
@@ -377,7 +375,7 @@ def _inverse_unless_degenerate(a, tol: Tolerance):
     where a is degenerate at tol: where LAPACK cannot invert a (an exact zero
     pivot: singular to within the roundoff of its LU factors), and else, unless
     ``_certifies_nondegenerate`` proves x good, where the SVD rule sigma_min <=
-    tol.abs * max(sigma_max, 1) holds.  A NaN or infinite entry: ValueError."""
+    tol.value * max(sigma_max, 1) holds.  A NaN or infinite entry: ValueError."""
     a = _finite(_as_matrix(a))
     try:
         x = np.linalg.inv(a)
@@ -413,7 +411,7 @@ def musicals(b: BaseForm, tol: Tolerance = DEFAULT_TOL):
 def signature(f, tol: Tolerance = DEFAULT_TOL):
     """Counts (r, s) of positive/negative eigenvalues of a symmetric form.
 
-    An eigenvalue within tol.abs of zero, ``Tolerance._admits`` of |lambda| at
+    An eigenvalue within tol.value of zero, ``Tolerance._admits`` of |lambda| at
     (1, 0), raises ``DegenerateFormError``.  The counts are kept on the form
     per tol; errors are not kept, so each call with that tolerance raises again.
     """
@@ -480,8 +478,8 @@ def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> Polynom
     here: with eta = ||op^2 - I||_2, every eigenvalue lambda of op has
     |lambda^2 - 1| <= eta, so it lies within eta of the sign s = +/-1 of its
     real part (|lambda + s| >= 1).  The trace is then plus - minus up to at
-    most 2n * eta, and the product test has bounded eta by tol.rel * sqrt(2n),
-    so the rounding is exact while tol.rel * (2n)^(3/2) < 1: for every 2n
+    most 2n * eta, and the product test has bounded eta by tol.value * sqrt(2n),
+    so the rounding is exact while tol.value * (2n)^(3/2) < 1: for every 2n
     below 10^6 at the default tolerance.  The count is the one the
     eigenvalues give, each assigned to the nearer of +1 and -1.  A looser
     tolerance takes that eigenvalue count itself, since the trace can then
@@ -496,7 +494,7 @@ def polynomial_class(op: BlockOperator, tol: Tolerance = DEFAULT_TOL) -> Polynom
     if any(tol._admits(np.linalg.norm(m - sign * ident), 0, nid) for sign in (1, -1)):
         return NEITHER
     size = m.shape[0]
-    if tol.rel * size**1.5 < 1:
+    if tol.value * size**1.5 < 1:
         plus = round((size + float(np.trace(m))) / 2)
     else:
         eig = np.linalg.eigvals(m)

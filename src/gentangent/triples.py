@@ -167,7 +167,7 @@ def triple_epsilon_product(first: BlockOperator, second: BlockOperator, metric: 
 
 
 def _positive_definite(form, tol: Tolerance) -> bool:
-    """``signature``'s verdict: symmetric with every eigenvalue above tol.abs."""
+    """``signature``'s verdict: symmetric with every eigenvalue above tol.value."""
     try:
         return form.kind == SYMMETRIC and signature(form, tol)[1] == 0
     except DegenerateFormError:

@@ -9,7 +9,7 @@ from gentangent import registry
 
 from block_rules import apply_by_blocks, combine_by_blocks, compose_by_blocks
 
-TOL = gt.Tolerance(1e-9, 1e-9)
+TOL = gt.Tolerance(1e-9)
 
 
 def _report(num, description, ok):
@@ -84,7 +84,7 @@ def test_criterion_07_triple_tables():
 
 
 def test_criterion_08_generalized_almost_kahler():
-    tol8 = gt.Tolerance(1e-8, 1e-8)
+    tol8 = gt.Tolerance(1e-8)
     fails = 0
     for seed in range(25):
         data = gt.random_ae_pair("Hermitian", 2, seed)

@@ -89,9 +89,10 @@ def test_ae_manifold_data_validate():
 
 
 def test_near_square_base_is_refused_as_polynomial_class_refuses_its_operator():
-    # J^2 = -I to 1.4e-7: within abs 1e-3 but far above rel 1e-12 ||I||.  The
-    # square sign rule reads rel only, for base matrices and operators alike
-    tol = gt.Tolerance(1e-3, 1e-12)
+    # J^2 = -I and J^T J = I both to 1.4e-7: the square sign rule's bound
+    # t ||I|| = 1.1e-7 refuses J, for base matrices and operators alike, while
+    # close's t + t ||I|| = 1.9e-7 finds J an isometry of I
+    tol = gt.Tolerance(8e-8)
     j = np.array([[1e-7, -1.0], [1.0, 0.0]])
     for lam in (1, -1):
         with pytest.raises(gt.NotPolynomialError):
@@ -248,7 +249,7 @@ def test_musical_families_need_a_base_form_of_their_kind():
 def test_twin_formula_check_fails_a_pair_that_misses_the_tolerance():
     # trial 0 of P4.twin-metrics at n = 3, seed 5: the built JFg pair is not
     # an (alpha, epsilon)-structure at 1e-13
-    tol = gt.Tolerance(1e-13, 1e-13)
+    tol = gt.Tolerance(1e-13)
     data = gt.random_ae_pair("ParaHermitian", 4, 500028)
     with pytest.raises(gt.IncompatiblePairError):
         gt.fundamental_tensor(gt.build_family("JFg", data, tol), gt.g0(4), tol)

@@ -231,17 +231,11 @@ def test_tol_flag_must_be_positive(capsys, monkeypatch):
     assert code == 2
 
 
-# Tolerance itself refuses these values; the CLI passes its message on
-TOL_ERRORS = {"0": "at least one tolerance must be positive",
-              "-1": "tolerances must be nonnegative",
-              "nan": "tolerances must be finite",
-              "inf": "tolerances must be finite"}
-
-
-@pytest.mark.parametrize("value", list(TOL_ERRORS))
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_tolerance_that_is_not_positive_and_finite_exits_2(capsys, monkeypatch, value):
+    # Tolerance itself refuses these values; the CLI passes its message on
     args = ["verify", "P2.flat-sharp", "--trials", "1"]
-    want = (2, "", f"error: {TOL_ERRORS[value]}\n")
+    want = (2, "", "error: tolerance must be positive and finite\n")
     assert run_cli(capsys, monkeypatch, args + ["--tol", value]) == want
     monkeypatch.setenv("GENTANGENT_TOL", value)
     assert run_cli(capsys, monkeypatch, args) == want

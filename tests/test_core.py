@@ -14,38 +14,36 @@ from test_rank_test import svd_oracle
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        gt.Tolerance(-1e-9, 1e-9)
-    with pytest.raises(ValueError):
-        gt.Tolerance(1e-9, -1e-9)
-    tol = gt.Tolerance(1e-6, 1e-3)
-    assert tol.abs == 1e-6 and tol.rel == 1e-3
+    for bad in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            gt.Tolerance(bad)
+    assert gt.Tolerance(1e-6).value == 1e-6
+    # one number: no second positional argument and no abs= or rel= keyword
+    for args, kwargs in (((1e-9, 1e-9), {}), ((), {"abs": 1e-9}), ((), {"rel": 1e-9})):
+        with pytest.raises(TypeError):
+            gt.Tolerance(*args, **kwargs)
 
 
 def test_tolerance_is_a_value():
     # forms key their kept musicals and signatures on the tolerance
-    tol = gt.Tolerance(1e-9, 1e-9)
+    tol = gt.Tolerance(1e-9)
     assert tol == gt.DEFAULT_TOL and tol is not gt.DEFAULT_TOL
     assert hash(tol) == hash(gt.DEFAULT_TOL)
-    assert gt.Tolerance(rel=1e-9, abs=1e-9) == gt.Tolerance() == tol
-    assert gt.Tolerance(1e-9, 1e-8) != tol and tol != (1e-9, 1e-9)
+    assert gt.Tolerance(value=1e-9) == gt.Tolerance() == tol
+    assert gt.Tolerance(1e-8) != tol and tol != 1e-9
     assert len({tol, gt.DEFAULT_TOL, gt.Tolerance(1e-8)}) == 2
-    assert repr(tol) == "Tolerance(abs=1e-09, rel=1e-09)"
-    for bad in ((0.0, 0.0), (np.inf, 1e-9), (1e-9, np.nan)):
-        with pytest.raises(ValueError):
-            gt.Tolerance(*bad)
+    assert repr(tol) == "Tolerance(1e-09)"
 
 
 def test_admits_is_inclusive_at_its_bound():
     # the rule compares, it never divides: a residual equal to its bound
-    # passes, and so does a zero residual at a zero bound
-    tol = gt.Tolerance(0.5, 0.25)
-    assert tol._admits(2.0, 2, 4)
-    assert not tol._admits(np.nextafter(2.0, 3.0), 2, 4)
-    assert list(tol._admits(np.array([0.0, 2.0, 3.0]), 2, 4)) == [True, True, False]
-    rel_only = gt.Tolerance(0.0, 1e-9)
-    assert rel_only._admits(0.0, 1, 0)
-    assert not rel_only._admits(5e-324, 1, 0)
+    # t * s + t * scale passes, and so does a zero residual at a zero bound
+    tol = gt.Tolerance(0.5)
+    assert tol._admits(3.0, 2, 4)
+    assert not tol._admits(np.nextafter(3.0, 4.0), 2, 4)
+    assert list(tol._admits(np.array([0.0, 3.0, 4.0]), 2, 4)) == [True, True, False]
+    assert tol._admits(0.0, 0, 0)
+    assert not tol._admits(5e-324, 0, 0)
 
 
 def _records():
@@ -96,13 +94,13 @@ def test_records_construct_positionally_and_by_keyword():
 
 def test_close_is_scale_aware():
     a = np.eye(3) * 1e8
-    assert gt.close(a, a + 1e-3, gt.Tolerance(1e-9, 1e-9))
-    assert not gt.close(np.eye(3), np.eye(3) + 1e-3, gt.Tolerance(1e-9, 1e-9))
+    assert gt.close(a, a + 1e-3, gt.Tolerance(1e-9))
+    assert not gt.close(np.eye(3), np.eye(3) + 1e-3, gt.Tolerance(1e-9))
     # the internal power-of-two rescaling is exact, so the boundary sits
-    # where ||a - b|| <= abs + rel * max(||a||, ||b||) puts it
-    tol = gt.Tolerance(1e-9, 1e-9)
+    # where ||a - b|| <= t + t * max(||a||, ||b||) puts it
+    tol = gt.Tolerance(1e-9)
     for a in (np.eye(2), 1e6 * np.eye(2), 1e-6 * np.eye(2)):
-        bound = tol.abs + tol.rel * np.linalg.norm(a)
+        bound = tol.value + tol.value * np.linalg.norm(a)
         assert gt.close(a, a + np.diag([0.5 * bound, 0.0]), tol)
         assert not gt.close(a, a + np.diag([2.0 * bound, 0.0]), tol)
 
@@ -115,9 +113,6 @@ def test_close_does_not_overflow_or_underflow():
     assert not gt.close(huge, -huge)
     assert not gt.close([[1e308]], [[1.0]])
     assert gt.close([[1e308]], [[1e308 * (1 + 1e-12)]])
-    rel_only = gt.Tolerance(0.0, 1e-9)
-    assert not gt.close([[1e-200]], [[2e-200]], rel_only)
-    assert gt.close([[1e-200]], [[1e-200 * (1 + 1e-12)]], rel_only)
     assert gt.close([[5e-324]], [[0.0]])
     assert gt.close(np.zeros((0, 0)), np.zeros((0, 0)))
 
@@ -312,12 +307,15 @@ def test_signature_known_values():
         gt.signature(nearly)
 
 
-def test_signature_at_zero_abs_raises_on_an_exact_zero_only():
-    # rel plays no part: the bound on |lambda| is abs = 0, which 0 meets
-    tol = gt.Tolerance(0.0, 1e-9)
-    with pytest.raises(gt.DegenerateFormError):
-        gt.signature(gt.BilinearForm(np.diag([1.0, 0.0, -2.0, 3.0]), gt.SYMMETRIC), tol)
-    assert gt.signature(gt.BaseForm(np.diag([1.0, -1e-300]), gt.SYMMETRIC), tol) == (1, 1)
+def test_signature_bound_is_t_at_every_scale_of_the_form():
+    # the bound on |lambda| is t * 1 + t * 0: an eigenvalue of exactly t is
+    # zero and one just above it is not, however large the others are
+    tol = gt.Tolerance(1e-9)
+    above = np.nextafter(1e-9, 1.0)
+    for big in (1.0, 1e12):
+        with pytest.raises(gt.DegenerateFormError):
+            gt.signature(gt.BilinearForm(np.diag([big, 1e-9, -2.0, 3.0]), gt.SYMMETRIC), tol)
+        assert gt.signature(gt.BaseForm(np.diag([big, -above]), gt.SYMMETRIC), tol) == (1, 1)
 
 
 def test_signature_congruence_invariant():
@@ -356,15 +354,15 @@ def test_polynomial_class_excludes_identity():
     assert gt.polynomial_class(gt.BlockOperator.from_matrix(-np.eye(4))) == NEITHER
 
 
-def test_polynomial_class_at_zero_rel_demands_exact_squares():
-    # abs plays no part: each bound is rel * ||I|| = 0.  f0's square is I
-    # exactly; one ulp off in one entry, it is not
-    tol = gt.Tolerance(1e-9, 0.0)
-    pc = gt.polynomial_class(gt.f0(2), tol)
+def test_polynomial_class_square_bound_has_no_absolute_term():
+    # each bound is t * ||I||, with no t beside it.  (1 + d) f0 squares to
+    # (1 + d)^2 I, off I by (2d + d^2) ||I||: within t ||I|| at t = 2.5 d, not
+    # at t = 1.5 d, where t + t ||I|| would still admit it
+    d = 1e-7
+    m = (1 + d) * gt.f0(2).assemble()
+    pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m), gt.Tolerance(2.5 * d))
     assert (pc.kind, pc.plus_dim, pc.minus_dim) == ("product", 2, 2)
-    m = gt.f0(2).assemble().copy()
-    m[0, 0] = np.nextafter(m[0, 0], 0.0)
-    assert gt.polynomial_class(gt.BlockOperator.from_matrix(m), tol) == NEITHER
+    assert gt.polynomial_class(gt.BlockOperator.from_matrix(m), gt.Tolerance(1.5 * d)) == NEITHER
 
 
 def test_polynomial_class_neither():
@@ -399,10 +397,10 @@ def test_polynomial_class_counts_eigenspaces_like_eigvals():
 
 
 def test_polynomial_class_count_at_loose_tolerance():
-    # ||m^2 - I|| = 0.32 passes the product test at rel 0.05 and 2n = 64, but
+    # ||m^2 - I|| = 0.32 passes the product test at t = 0.05 and 2n = 64, but
     # the trace -1.28 would round to 31 / 33; the eigenvalues split 32 / 32
     m = np.diag(np.repeat([0.98, -1.02], 32))
-    pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m), gt.Tolerance(rel=0.05))
+    pc = gt.polynomial_class(gt.BlockOperator.from_matrix(m), gt.Tolerance(0.05))
     assert (pc.kind, pc.plus_dim, pc.minus_dim) == ("product", 32, 32)
     assert pc.is_paracomplex
 
@@ -436,7 +434,7 @@ def test_musicals_are_kept_on_the_form():
 def test_signature_is_kept_per_tolerance(loose_first):
     # an eigenvalue of 1e-10 is zero at the default tolerance only
     form = gt.BilinearForm(np.diag([1.0, 1e-10, -1.0, 2.0]), gt.SYMMETRIC)
-    loose = gt.Tolerance(1e-12, 1e-12)
+    loose = gt.Tolerance(1e-12)
     if loose_first:
         assert gt.signature(form, loose) == (3, 1)
     for _ in range(2):
@@ -449,7 +447,7 @@ def test_signature_is_kept_per_tolerance(loose_first):
 @pytest.mark.parametrize("loose_first", [False, True])
 def test_musicals_are_kept_per_tolerance(loose_first):
     b = gt.BaseForm(np.diag([1.0, 1e-10]))
-    loose = gt.Tolerance(1e-12, 1e-12)
+    loose = gt.Tolerance(1e-12)
     if loose_first:
         assert np.allclose(gt.musicals(b, loose)[1], np.diag([1.0, 1e10]))
     for _ in range(2):
@@ -470,16 +468,16 @@ def _with_singular_values(sv, seed):
 def _rank_cases():
     """(matrix, tol, certifiable) near and far from the is_degenerate
     boundary, at each n; certifiable marks a matrix whose sigma_min is
-    1e3 * tol.abs * max(sigma_max, 1) at a tolerance the certificate uses."""
+    1e3 * tol.value * max(sigma_max, 1) at a tolerance the certificate uses."""
     cases = []
     for n in (1, 2, 3, 8, 32, 64):
-        for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15),
-                    gt.Tolerance(1e-3, 1e-9)):
-            usable = tol.abs >= 64 * n * 2.0**-53
+        for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15),
+                    gt.Tolerance(1e-3)):
+            usable = tol.value >= 64 * n * 2.0**-53
             for top in (1e-3, 1.0, 1e4):
-                # sigma_min on either side of tol.abs * max(sigma_max, 1)
+                # sigma_min on either side of tol.value * max(sigma_max, 1)
                 for side in (1 - 1e-6, 1 + 1e-6, 1e3):
-                    bottom = tol.abs * max(top, 1.0) * side
+                    bottom = tol.value * max(top, 1.0) * side
                     if bottom > top:
                         continue
                     sv = np.geomspace(top, bottom, n) if n > 1 else [bottom]
@@ -491,7 +489,7 @@ def _rank_cases():
             cases.append((np.zeros((n, n)), tol, False))
             cases.append((1e-10 * np.eye(n), tol, False))
             cases.append((gt.random_metric(n, n, 0, 7 + n).gram, tol,
-                          usable and tol.abs < 1e-6))
+                          usable and tol.value < 1e-6))
         if n > 1:
             rank_one = np.outer(np.arange(1.0, n + 1), np.ones(n))
             cases.append((rank_one, gt.DEFAULT_TOL, False))
@@ -529,7 +527,7 @@ def test_musicals_decide_on_flat_and_keep_its_inverse():
                   np.array([[1.0, 2.0], [2.0, 4.0]]),
                   _with_singular_values([1.0, 1e-9 * (1 + 1e-6)], 3)):
         gram = 0.5 * given + 0.5 * given.T
-        for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15, 1e-15)):
+        for tol in (gt.DEFAULT_TOL, gt.Tolerance(1e-15)):
             b = gt.BaseForm(given, gt.SYMMETRIC)
             if svd_oracle(gram, tol):
                 with pytest.raises(gt.DegenerateFormError):

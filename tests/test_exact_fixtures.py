@@ -21,8 +21,8 @@ from integer_fixtures import BOUND, transported_pair
 
 SEEDS = range(1, 9)
 CASES = [(kind, n) for kind, row in KINDS.items() for n in (2, 4) if row.dim in (None, n)]
-EXACT = gt.Tolerance(1e-15, 1e-15)
-# close's absolute floor, abs = 1e-9, admits both signs of eps once
+EXACT = gt.Tolerance(1e-15)
+# close's absolute floor, t = 1e-9, admits both signs of eps once
 # 2^k |g| <= 5e-10; every fixture has |g| >= 1, so k >= -30 is clear of it
 DEFAULT_POWERS = range(-30, 41)
 FLOOR_POWERS = range(-40, -30)
@@ -58,7 +58,7 @@ def test_sign_tests_read_each_kind_exactly(kind, n):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: close's absolute floor abs = 1e-9 admits both signs"
+                   reason="ROADMAP item 1: close's absolute floor t = 1e-9 admits both signs"
                           " of eps once 2^k |g| <= 5e-10, so the sign is read as None")
 def test_isometry_sign_at_the_default_tolerance_keeps_below_the_absolute_floor():
     for kind, n in CASES:

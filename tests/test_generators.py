@@ -134,7 +134,7 @@ def test_random_kahler_data_validates():
     for n in (2, 4):
         for seed in range(10):
             kd = gt.random_kahler_data(n, seed)
-            assert kd.validate(gt.Tolerance(1e-8, 1e-8))
+            assert kd.validate(gt.Tolerance(1e-8))
             assert np.allclose(kd.b, -kd.b.T)
             assert gt.signature(kd.g) == (n, 0)
     with pytest.raises(gt.DimensionError):

@@ -3,8 +3,8 @@
 ``tests/output_groups.txt`` holds the digest of every group, and
 ``tests/output_cases.txt`` one line per run of the ``fixtures`` and ``inputs``
 groups.  This recomputes the groups that take about a second, among them
-``tolerances``, which asks the rank test at tolerances whose abs and rel
-differ, and the outputs of both benchmark workloads: ``build | classify``
+``tolerances``, which asks the library's predicates at two tolerances other
+than the default, and the outputs of both benchmark workloads: ``build | classify``
 and ``verify`` at ``--dim 8 --trials 5`` and ``--dim 32 --trials 3``, seeds
 1-8.  ``python3 tools/output_digest.py --check`` recomputes all of them.  A change that
 alters an output rewrites both files (``--write``) in the same commit, and

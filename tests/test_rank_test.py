@@ -10,8 +10,8 @@ LAPACK cannot invert (an exact zero pivot) is degenerate at every tolerance.
 Otherwise the routine reads "nondegenerate" from that inverse where
 ``_certifies_nondegenerate`` can, and runs the SVD only where the
 certificate is silent.  The oracle here is the SVD rule itself, written out:
-sigma_min <= tol.abs * max(sigma_max, 1).  On all registry and pipe traffic
-it agrees with LAPACK's refusals; below the certificate's floor (tol.abs <
+sigma_min <= tol.value * max(sigma_max, 1).  On all registry and pipe traffic
+it agrees with LAPACK's refusals; below the certificate's floor (tol.value <
 64 n u) it calls some exactly singular matrices nondegenerate, and there
 the refusal decides.
 """
@@ -30,13 +30,13 @@ from gentangent.core import _certifies_nondegenerate, _inverse_unless_degenerate
 from test_input_mutants import output_digest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gentangent"
-SUB_FLOOR = gt.Tolerance(1e-20, 1e-9)
+SUB_FLOOR = gt.Tolerance(1e-20)
 _SVD, _INV = np.linalg.svd, np.linalg.inv  # the oracle's own, never counted
 
 
 def svd_oracle(a, tol):
     sv = _SVD(np.asarray(a, dtype=float), compute_uv=False)
-    return sv.size == 0 or sv[-1] <= tol.abs * max(sv[0], 1.0)
+    return sv.size == 0 or sv[-1] <= tol.value * max(sv[0], 1.0)
 
 
 def svd_runs(a, tol):
@@ -174,11 +174,11 @@ def _assert_every_form_degenerate(s, tol):
 
 
 def test_below_the_certificate_floor_an_uninvertible_matrix_is_degenerate(svd_calls):
-    # tol.abs < 64 n u: the certificate is never asked, and the SVD rule
+    # tol.value < 64 n u: the certificate is never asked, and the SVD rule
     # would call these exactly singular matrices nondegenerate (the absolute
     # floor of the rule, ROADMAP item 1); LAPACK's refusal decides first
     a, s = _singular_but_not_below_the_floor()
-    assert SUB_FLOOR.abs < 64 * 4 * 2.0**-53
+    assert SUB_FLOOR.value < 64 * 4 * 2.0**-53
     for m in (a, s):
         _assert_degenerate_everywhere(m, SUB_FLOOR)
     _assert_every_form_degenerate(s, SUB_FLOOR)

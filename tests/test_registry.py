@@ -76,7 +76,7 @@ def test_run_check_lets_a_rank_error_through(monkeypatch):
 
 
 def test_canonical_triples_case_with_no_triple_is_one_failure():
-    tol = gt.Tolerance(1e-13, 1e-13)
+    tol = gt.Tolerance(1e-13)
     report = registry.run_check("P5.canonical-triples", 3, 3, 5, tol)
     assert (report.trials, report.failures) == (24, 1)
 

@@ -4,7 +4,7 @@
 The test reads the source, not the behaviour.  Outside the allowed sites
 below it fails on two things:
 
-- an attribute ``.abs`` or ``.rel`` read off anything but ``np``, which is
+- a read of the tolerance's one field (``Tolerance.__slots__``), which is
   how a rule of its own would read a tolerance
 - a float literal in (0, 1e-3], which is how a rule of its own would write
   a fixed tolerance
@@ -17,28 +17,30 @@ condition).
 import ast
 from pathlib import Path
 
+import pytest
+
 import gentangent as gt
 
 SRC = Path(gt.__file__).resolve().parent
 
 ALLOWED = {
     ("core.py", "Tolerance", None):
-        "the rule itself, and the two fields it reads",
+        "the rule itself, and the one field it reads",
     ("core.py", "_certifies_nondegenerate", None):
-        "its proof that the SVD would agree reads tol.abs; it decides no verdict of its own",
-    ("core.py", "polynomial_class", "tol.rel * size ** 1.5 < 1"):
+        "its proof that the SVD would agree reads tol.value; it decides no verdict of its own",
+    ("core.py", "polynomial_class", "tol.value * size ** 1.5 < 1"):
         "the precondition under which the trace count is exact, not a verdict",
-    ("registry.py", "<module>", "_RECOVERY_FLOOR = Tolerance(1e-08, 1e-08)"):
+    ("registry.py", "<module>", "_RECOVERY_FLOOR = Tolerance(1e-08)"):
         "the one named floor of the two T5 recovery checks",
     ("registry.py", "_check_kahler_roundtrip",
-     "eff = Tolerance(max(tol.abs, _RECOVERY_FLOOR.abs), max(tol.rel, _RECOVERY_FLOOR.rel))"):
+     "eff = Tolerance(max(tol.value, _RECOVERY_FLOOR.value))"):
         "floors the caller's tolerance at that constant",
 }
+(FIELD,) = gt.Tolerance.__slots__
 
 
 def _is_tolerance_read(node):
-    return (isinstance(node, ast.Attribute) and node.attr in ("abs", "rel")
-            and not (isinstance(node.value, ast.Name) and node.value.id == "np"))
+    return isinstance(node, ast.Attribute) and node.attr == FIELD
 
 
 def _is_literal_tolerance(node):
@@ -46,9 +48,9 @@ def _is_literal_tolerance(node):
             and 0 < node.value <= 1e-3)
 
 
-def _sites(path):
+def _sites(name, source):
     """(site, line, source) of each tolerance read or literal in a module."""
-    tree = ast.parse(path.read_text())
+    tree = ast.parse(source)
     found = []
     for top in tree.body:
         scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
@@ -63,14 +65,33 @@ def _sites(path):
                                              or _is_literal_tolerance(node)):
                     continue
                 text = ast.unparse(header)
-                site = ((path.name, scope, None) if (path.name, scope, None) in ALLOWED
-                        else (path.name, scope, text))
+                site = ((name, scope, None) if (name, scope, None) in ALLOWED
+                        else (name, scope, text))
                 found.append((site, node.lineno, ast.unparse(node)))
     return found
 
 
+@pytest.mark.parametrize("source", [
+    f"def f(a, b, tol):\n    return norm(a - b) <= tol.{FIELD} * norm(a)",
+    f"def f(sv, tol):\n    if sv[-1] <= tol.{FIELD}:\n        return None",
+    f"FLOOR = DEFAULT_TOL.{FIELD}",
+    "def f(a, b):\n    return norm(a - b) <= 1e-9",
+])
+def test_the_guard_finds_a_rule_of_its_own(source):
+    assert _sites("new.py", source)
+
+
+@pytest.mark.parametrize("source", [
+    "def f(a, b, tol):\n    return tol._admits(norm(a - b), 1, norm(a))",
+    "def f(a):\n    return np.abs(a).max() > 0.5",
+    "def f(args):\n    return args.tol",
+])
+def test_the_guard_passes_the_rule_and_other_reads(source):
+    assert _sites("new.py", source) == []
+
+
 def test_every_tolerance_comparison_goes_through_the_rule():
-    found = [f for path in sorted(SRC.glob("*.py")) for f in _sites(path)]
+    found = [f for path in sorted(SRC.glob("*.py")) for f in _sites(path.name, path.read_text())]
     outside = [f"{site[0]}:{line} in {site[1]}: {source}"
                for site, line, source in found if site not in ALLOWED]
     assert outside == []

@@ -3,6 +3,7 @@ import pytest
 
 import gentangent as gt
 from block_rules import f0_commutation_by_blocks
+from gentangent.ae_zoo import isometry_sign
 from gentangent.triples import (
     ANTI_COMMUTES,
     BICOMPLEX,
@@ -184,7 +185,7 @@ def test_is_almost_kahler_negative():
 
 def test_kahler_data_validation():
     kd = gt.random_kahler_data(2, seed=1)
-    assert kd.validate(gt.Tolerance(1e-8, 1e-8))
+    assert kd.validate(gt.Tolerance(1e-8))
     with pytest.raises(gt.InvalidKahlerDataError):
         gt.KahlerData(np.eye(2), kd.g, kd.J1, kd.J2).validate()  # b not skew
     bad_metric = gt.BaseForm(np.diag([1.0, -1.0]), gt.SYMMETRIC)
@@ -194,13 +195,13 @@ def test_kahler_data_validation():
 
 @pytest.mark.parametrize("low", [2e-9, 1e-9, 0.5e-9, 0.0, -0.5e-9, -2e-9])
 def test_kahler_metric_must_have_every_eigenvalue_above_tol_abs(low):
-    # signature's rule: at or below tol.abs, or negative, validate names g;
+    # signature's rule: at or below t, or negative, validate names g;
     # above it, validate goes on to J1, which is no isometry of diag(1, low)
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     kd = gt.KahlerData(np.zeros((2, 2)), gt.BaseForm(np.diag([1.0, low])), j, j)
     want = "g is not symmetric positive" if low <= 1e-9 else "J1 is not a g-isometry"
     with pytest.raises(gt.InvalidKahlerDataError, match=want):
-        kd.validate(gt.Tolerance(1e-9, 1e-9))
+        kd.validate(gt.Tolerance(1e-9))
 
 
 def test_kahler_metric_declared_skew_is_no_metric():
@@ -226,7 +227,7 @@ def test_kahler_from_data_reduces_when_b_zero():
 
 
 def test_kahler_pair_properties():
-    tol = gt.Tolerance(1e-8, 1e-8)
+    tol = gt.Tolerance(1e-8)
     for seed in range(10):
         kd = gt.random_kahler_data(4, seed)
         j1, j2 = gt.kahler_from_data(kd, tol)
@@ -236,7 +237,7 @@ def test_kahler_pair_properties():
 
 
 def test_kahler_roundtrip():
-    tol = gt.Tolerance(1e-8, 1e-8)
+    tol = gt.Tolerance(1e-8)
     for n in (2, 4):
         for seed in range(15):
             kd = gt.random_kahler_data(n, 100 * n + seed)
@@ -262,25 +263,36 @@ def _kahler_pair(n, seed):
 
 
 def test_is_almost_kahler_refuses_a_member_that_is_not_almost_complex():
-    # at abs 1e-3 and rel 1e-12, J_phi + 1e-7 I passes the isometry, the
-    # commutation and the induced metric's tests, which compare through abs;
-    # only the square test, which reads rel alone, refuses it
-    tol = gt.Tolerance(1e-3, 1e-12)
+    # (1 + d) J_phi squares to -(1 + d)^2 I, off -I by (2d + d^2) ||I||, above
+    # t ||I|| at t = 1.5 d; its G0 pullback is off G0 by (2d + d^2) ||G0||,
+    # within t + t ||G0||, and scaling keeps the commutation and the induced
+    # metric.  Only the square test refuses it
+    d = 1e-7
+    tol = gt.Tolerance(1.5 * d)
     j_phi, j_minus = _kahler_pair(2, 0)
     assert gt.is_almost_kahler(j_phi, j_minus, tol)[0]
-    nudged = gt.BlockOperator.from_matrix(j_phi.matrix + 1e-7 * np.eye(4))
-    assert gt.polynomial_class(nudged, tol).kind == "neither"
-    assert gt.is_almost_kahler(nudged, j_minus, tol) == (False, None)
+    scaled = gt.BlockOperator.from_matrix((1 + d) * j_phi.matrix)
+    assert gt.polynomial_class(scaled, tol).kind == "neither"
+    assert isometry_sign(scaled, gt.g0(2), tol) == 1
+    assert gt.is_almost_kahler(scaled, j_minus, tol) == (False, None)
+
+
+def _least_tolerance(a, b):
+    """The t at which ||a - b|| meets close's bound t + t * max(||a||, ||b||)."""
+    return np.linalg.norm(a - b) / (1 + max(np.linalg.norm(a), np.linalg.norm(b)))
 
 
 def test_is_almost_kahler_refuses_a_pair_that_does_not_commute():
     # conjugating J2 by a G0-isometry R near I (a Cayley transform of a
     # G0-skew X) keeps it almost complex and G0-isometric, and moves the
     # commutator C = J1 J2 - J2 J1 off zero.  The induced metric's symmetry
-    # tests see C block by block, so at an abs between the largest block and
-    # ||C|| only the commutation test refuses the pair.
+    # tests see C block by block, each against its block of -J1 J2; on the
+    # flat base (g = I, J the standard rotation) C is spread over the blocks
+    # enough that they pass at a t where the commutation test refuses.
     n = 4
-    j1, j2 = _kahler_pair(n, 0)
+    j = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])
+    data = gt.AeManifoldData(j, gt.BaseForm(np.eye(n)), -1, 1)
+    j1, j2 = gt.build_musical(gt.base_fundamental(data), -1), gt.build_diagonal(j, -1)
     rng = np.random.default_rng(0)
     a, b, c = (rng.standard_normal((n, n)) for _ in range(3))
     x = np.block([[a, b - b.T], [c - c.T, -a.T]])
@@ -288,15 +300,16 @@ def test_is_almost_kahler_refuses_a_pair_that_does_not_commute():
     r = np.linalg.solve(ident - 5e-6 * x, ident + 5e-6 * x)
     m1, m2 = j1.matrix, np.linalg.solve(r, j2.matrix @ r)
     inducer = gt.BlockOperator.from_matrix(-(m1 @ m2))
-    blocks = max(np.linalg.norm(inducer.K - inducer.H.T),
-                 np.linalg.norm(inducer.tau - inducer.tau.T),
-                 np.linalg.norm(inducer.sigma - inducer.sigma.T))
-    commutator = np.linalg.norm(m1 @ m2 - m2 @ m1)
-    assert blocks < commutator
-    tol = gt.Tolerance(float(np.sqrt(blocks * commutator)), 1e-12)
+    blocks = max(_least_tolerance(inducer.K, inducer.H.T),
+                 _least_tolerance(inducer.tau, inducer.tau.T),
+                 _least_tolerance(inducer.sigma, inducer.sigma.T))
+    commutation = _least_tolerance(m1 @ m2, m2 @ m1)
+    assert blocks < commutation
+    tol = gt.Tolerance(float(np.sqrt(blocks * commutation)))
     assert gt.is_almost_kahler(j1, j2, tol)[0]
     moved = gt.BlockOperator.from_matrix(m2)
     assert gt.polynomial_class(moved, tol).kind == "complex"
+    assert gt.metric_from_endomorphism(inducer, tol)[1].valid
     assert gt.is_almost_kahler(j1, moved, tol) == (False, None)
 
 
@@ -319,4 +332,4 @@ def test_combine_names_the_member_that_breaks_the_triple():
 def test_kahler_data_refuses_a_g_isometry_that_is_not_complex():
     kd = gt.random_kahler_data(2, seed=1)
     with pytest.raises(gt.InvalidKahlerDataError, match="J1 does not square to -I"):
-        gt.KahlerData(kd.b, kd.g, np.eye(2), kd.J2).validate(gt.Tolerance(1e-8, 1e-8))
+        gt.KahlerData(kd.b, kd.g, np.eye(2), kd.J2).validate(gt.Tolerance(1e-8))
